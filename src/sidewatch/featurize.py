@@ -107,19 +107,24 @@ class BranchSet:
         return int(self.raw.shape[0])
 
 
-def make_branch_set(rows: np.ndarray, sample_period_s: float) -> BranchSet:
-    """Build all five branches; window/factor sizes derive from the period.
+def branch_geometry(sample_period_s: float) -> tuple[int, int, int, int]:
+    """Smoothing windows and decimation factors, in samples, for a period.
 
-    At the default 0.5 s period this gives smoothing windows of 5 and 25
-    samples and decimation factors of 10 and 25.
+    Returns (short window, long window, mid factor, long factor). At the
+    default 0.5 s period this gives smoothing windows of 5 and 25 samples
+    and decimation factors of 10 and 25.
     """
+    return tuple(window_samples(s, sample_period_s)
+                 for s in (SMOOTH_SHORT_S, SMOOTH_LONG_S, DOWN_MID_S, DOWN_LONG_S))
+
+
+def make_branch_set(rows: np.ndarray, sample_period_s: float) -> BranchSet:
+    """Build all five branches; window/factor sizes derive from the period
+    (see branch_geometry)."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValueError(f"need a nonempty [T, F] matrix, got shape {rows.shape}")
-    w_short = window_samples(SMOOTH_SHORT_S, sample_period_s)
-    w_long = window_samples(SMOOTH_LONG_S, sample_period_s)
-    f_mid = window_samples(DOWN_MID_S, sample_period_s)
-    f_long = window_samples(DOWN_LONG_S, sample_period_s)
+    w_short, w_long, f_mid, f_long = branch_geometry(sample_period_s)
     return BranchSet(
         raw=rows,
         smooth_short=rolling_mean(rows, w_short),
@@ -222,28 +227,6 @@ def chunk_sequences(traces: list[Trace], length: int) -> SequenceBatch:
             labels.append(chunk_label(trace.labels[lo:hi]))
     if seqs:
         sequences = np.stack(seqs).astype(np.float64)
-    else:
-        sequences = np.zeros((0, length, F), dtype=np.float64)
-    return SequenceBatch(sequences=sequences, labels=np.asarray(labels, dtype=np.int64))
-
-
-def chunk_sequences_from_rows(
-    rows_per_trace: list[np.ndarray], labels_per_trace: list[np.ndarray], length: int
-) -> SequenceBatch:
-    """chunk_sequences over bare row/label arrays (post-normalization use)."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    seqs: list[np.ndarray] = []
-    labels: list[int] = []
-    F = rows_per_trace[0].shape[1] if rows_per_trace else 0
-    for rows, row_labels in zip(rows_per_trace, labels_per_trace):
-        n = rows.shape[0] // length
-        for k in range(n):
-            lo, hi = k * length, (k + 1) * length
-            seqs.append(np.asarray(rows[lo:hi], dtype=np.float64))
-            labels.append(chunk_label(np.asarray(row_labels[lo:hi])))
-    if seqs:
-        sequences = np.stack(seqs)
     else:
         sequences = np.zeros((0, length, F), dtype=np.float64)
     return SequenceBatch(sequences=sequences, labels=np.asarray(labels, dtype=np.int64))

@@ -39,6 +39,7 @@ from .errors import (
     CorruptArtifactError,
     KernelTooLongError,
     NoDataError,
+    NonMonotonicTimeError,
     ShapeMismatchError,
     VersionMismatchError,
     WrongSequenceLengthError,
@@ -68,7 +69,7 @@ from .nn import (
 )
 from .nn.layers import activate
 from .nn.recurrent import make_cell
-from .telemetry import Trace
+from .telemetry import DEFAULT_SAMPLE_PERIOD_S, Trace
 
 ROW_FAMILIES = ("mlp", "conv_multibranch")
 RNN_FAMILIES = ("rnn_vanilla", "rnn_lstm", "rnn_lstm_bi", "rnn_gru", "rnn_gru_bi")
@@ -797,27 +798,32 @@ def encode_dataset(encoder: ModelArtifact, traces: list[Trace]) -> list[Trace]:
 class RowStreamPredictor:
     """Incremental per-row probabilities for a live row stream.
 
-    Maintains the causal branch views over rows seen so far: smoothed
-    values extend one row at a time (running sums), decimated rows join
-    as soon as their source row arrives. Matches the batch predict_rows
-    everywhere except the final partial decimation block of a finished
-    trace, where the batch branch (floor-length rule) lacks the newest
-    decimated sample the stream already has.
+    Every push does a constant amount of work and the predictor holds a
+    bounded amount of state, however long the stream runs. For the conv
+    family each branch keeps its last ``kernel`` inputs and its last
+    ``win - kernel + 1`` conv activations (see _BranchStream): a push
+    computes one new conv position per full-rate branch, plus one per
+    decimated branch when that branch takes a sample (row i with
+    i % factor == 0). The smoothed inputs are means over one ring of the
+    latest normalized rows. Every ring starts filled from the first row,
+    the front-padding the batch path applies.
+
+    The branch geometry follows the stream's own sample period: the gap
+    between the first two rows' timestamps (``row.t``), the rule
+    telemetry.parse_trace_csv applies to a batch trace. Rows without a
+    timestamp (bare arrays) assume telemetry.DEFAULT_SAMPLE_PERIOD_S.
+
+    Matches the batch predict_rows at any period (a property test pins
+    this) except on the final ``T mod factor`` rows of a finished trace,
+    where the batch decimated branch (floor-length rule) lacks the
+    newest decimated sample the stream already has.
     """
 
     def __init__(self, artifact: ModelArtifact):
         if artifact.family not in ROW_FAMILIES:
             raise BadShapeError(f"{artifact.family} cannot stream rows")
         self.artifact = artifact
-        self.rows: list[np.ndarray] = []
-        self._period = None
-        if artifact.family == "conv_multibranch":
-            self._smooth_short: list[np.ndarray] = []
-            self._smooth_long: list[np.ndarray] = []
-            self._down_mid: list[np.ndarray] = []
-            self._down_long: list[np.ndarray] = []
-            self._sums_short: np.ndarray | None = None
-            self._sums_long: np.ndarray | None = None
+        self.rows_seen = 0
 
     def push(self, row) -> float:
         features = row.features if hasattr(row, "features") else np.asarray(row)
@@ -829,58 +835,88 @@ class RowStreamPredictor:
         if self.artifact.family == "mlp":
             p, _ = self.artifact.network.forward(x, mode="infer")
             return float(p.reshape(-1)[0])
-        return self._push_conv(x)
+        return self._push_conv(x, getattr(row, "t", None))
 
-    def _push_conv(self, x: np.ndarray) -> float:
-        art = self.artifact
-        if self._period is None:
-            # Branch geometry from the model's assumed sampling period.
-            self._period = 0.5
-        i = len(self.rows)
-        self.rows.append(x)
-        w_short = featurize.window_samples(featurize.SMOOTH_SHORT_S, self._period)
-        w_long = featurize.window_samples(featurize.SMOOTH_LONG_S, self._period)
-        f_mid = featurize.window_samples(featurize.DOWN_MID_S, self._period)
-        f_long = featurize.window_samples(featurize.DOWN_LONG_S, self._period)
-
-        if self._sums_short is None:
-            self._sums_short = np.zeros_like(x)
-            self._sums_long = np.zeros_like(x)
-        self._sums_short = self._sums_short + x
-        self._sums_long = self._sums_long + x
-        if i >= w_short:
-            self._sums_short = self._sums_short - self.rows[i - w_short]
-        if i >= w_long:
-            self._sums_long = self._sums_long - self.rows[i - w_long]
-        self._smooth_short.append(self._sums_short / min(i + 1, w_short))
-        self._smooth_long.append(self._sums_long / min(i + 1, w_long))
-        if i % f_mid == 0:
-            self._down_mid.append(x)
-        if i % f_long == 0:
-            self._down_long.append(x)
-
-        w = art.window
-        xs = [
-            _tail_window(self.rows, w.raw_window),
-            _tail_window(self._smooth_short, w.raw_window),
-            _tail_window(self._smooth_long, w.raw_window),
-            _tail_window(self._down_mid, w.down_window),
-            _tail_window(self._down_long, w.down_window),
-        ]
-        p, _ = art.network.forward(xs, mode="infer")
+    def _push_conv(self, x: np.ndarray, t: float | None) -> float:
+        net: MultiBranch = self.artifact.network
+        i = self.rows_seen
+        if i == 0:
+            # Every branch equals x on the first row: no geometry needed yet.
+            w = self.artifact.window
+            wins = (w.raw_window,) * 3 + (w.down_window,) * 2
+            self._branches = [_BranchStream(b.layers[0], win, x)
+                              for b, win in zip(net.branches, wins)]
+            self._first = (t, x)
+        else:
+            if i == 1:
+                self._set_geometry(t)
+            self._recent.push(x)
+            raw, smooth_short, smooth_long, down_mid, down_long = self._branches
+            raw.step(x)
+            smooth_short.step(self._recent.tail(min(i + 1, self._w_short)).mean(axis=0))
+            smooth_long.step(self._recent.tail(min(i + 1, self._w_long)).mean(axis=0))
+            if i % self._f_mid == 0:
+                down_mid.step(x)
+            if i % self._f_long == 0:
+                down_long.step(x)
+        self.rows_seen = i + 1
+        joined = np.concatenate([b.pooled for b in self._branches])
+        p, _ = net.head.forward(joined, mode="infer")
         return float(p.reshape(-1)[0])
 
-    def set_sample_period(self, period_s: float) -> None:
-        if self.rows:
-            raise ValueError("sample period must be set before the first row")
-        self._period = period_s
+    def _set_geometry(self, t: float | None) -> None:
+        t0, x0 = self._first
+        period = DEFAULT_SAMPLE_PERIOD_S
+        if t is not None and t0 is not None:
+            period = float(t) - float(t0)
+            if period <= 0:
+                raise NonMonotonicTimeError(f"time does not increase at row 1 ({t0} -> {t})")
+        self._w_short, self._w_long, self._f_mid, self._f_long = (
+            featurize.branch_geometry(period))
+        self._recent = _RowRing(max(self._w_short, self._w_long), x0)
 
 
-def _tail_window(rows: list[np.ndarray], width: int) -> np.ndarray:
-    tail = rows[-width:]
-    if len(tail) < width:
-        tail = [tail[0]] * (width - len(tail)) + tail
-    return np.stack(tail)
+class _RowRing:
+    """The last *size* rows of a stream, each stored twice, so that any
+    tail of them is one contiguous slice. Starts full of *fill*."""
+
+    def __init__(self, size: int, fill: np.ndarray):
+        self.size = size
+        self.buf = np.repeat(fill[None, :], 2 * size, axis=0)
+        self.next = 0
+
+    def push(self, x: np.ndarray) -> None:
+        self.buf[self.next] = x
+        self.buf[self.next + self.size] = x
+        self.next = (self.next + 1) % self.size
+
+    def tail(self, n: int) -> np.ndarray:
+        end = self.next + self.size
+        return self.buf[end - n : end]
+
+
+class _BranchStream:
+    """One conv branch of a stream: its last k inputs and the conv
+    activations of its last win-k+1 positions, whose column-wise max is
+    the branch's pooled output for the current window."""
+
+    def __init__(self, conv: Conv1D, win: int, x0: np.ndarray):
+        self.conv = conv
+        self.inputs = _RowRing(conv.kernel_size, x0)
+        first = self._newest_position()
+        self.acts = np.repeat(first[None, :], win - conv.kernel_size + 1, axis=0)
+        self.slot = 0
+        self.pooled = first
+
+    def _newest_position(self) -> np.ndarray:
+        acts, _ = self.conv.forward(self.inputs.tail(self.conv.kernel_size), mode="infer")
+        return acts[0]
+
+    def step(self, x: np.ndarray) -> None:
+        self.inputs.push(x)
+        self.acts[self.slot] = self._newest_position()
+        self.slot = (self.slot + 1) % self.acts.shape[0]
+        self.pooled = self.acts.max(axis=0)
 
 
 class SequenceStreamPredictor:

@@ -1,17 +1,24 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidewatch import featurize, models
 from sidewatch.errors import (
     BadShapeError,
     CorruptArtifactError,
     NoDataError,
+    NonMonotonicTimeError,
     ShapeMismatchError,
     VersionMismatchError,
     WrongSequenceLengthError,
 )
 from sidewatch.models import (
     RNN_FAMILIES,
+    RowStreamPredictor,
     TrainConfig,
     WindowConfig,
     build_autoencoder,
@@ -28,7 +35,8 @@ from sidewatch.models import (
     save_model,
     train_model,
 )
-from sidewatch.nn import OptimizerSpec
+from sidewatch.nn import Conv1D, OptimizerSpec
+from sidewatch.telemetry import SampleRow
 
 from conftest import random_trace
 
@@ -348,6 +356,104 @@ class TestPrediction:
         batch = featurize.chunk_sequences([random_trace(rng, T=24, F=2)], 12)
         with pytest.raises(WrongSequenceLengthError):
             predict_sequences(m, batch)
+
+
+class TestRowStream:
+    @staticmethod
+    def _stream(m, trace):
+        predictor = RowStreamPredictor(m)
+        return np.array([predictor.push(row) for row in trace.rows()])
+
+    @staticmethod
+    def _comparable_rows(T: int, period: float) -> int:
+        # The batch decimated branches drop the trailing partial block, so
+        # the last T mod factor rows differ by design (see RowStreamPredictor).
+        _, _, f_mid, f_long = featurize.branch_geometry(period)
+        return T - max(T % f_mid, T % f_long)
+
+    @given(data=st.data(), period=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+           F=st.integers(1, 4), kernel=st.integers(1, 5),
+           raw_extra=st.integers(0, 8), down_extra=st.integers(0, 6),
+           with_encoder=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_stream_equals_batch(self, data, period, F, kernel, raw_extra,
+                                 down_extra, with_encoder, seed):
+        down_window = kernel + down_extra
+        long_factor = featurize.branch_geometry(period)[3]
+        # From shorter than the kernel to past the point where the
+        # decimated activation rings wrap.
+        T = data.draw(st.integers(1, (down_window + 2) * long_factor), label="T")
+        rng = np.random.default_rng(seed)
+        F_raw = F + 1 if with_encoder else F
+        trace = random_trace(rng, T=T, F=F_raw, period=period)
+        m = build_conv_multibranch(F, filters=3, kernel=kernel, dense_units=4,
+                                   window=WindowConfig(kernel + raw_extra, down_window),
+                                   seed=seed)
+        codes = trace.features
+        if with_encoder:
+            m.encoder = build_autoencoder(F_raw, F, seed=seed)
+            m.encoder.norm = featurize.zscore_fit(np.vstack([trace.features,
+                                                             trace.features + 1.0]))
+            codes = encode_rows(m.encoder, trace.features)
+        # Two shifted copies: zscore_fit needs two rows and T may be 1.
+        m.norm = featurize.zscore_fit(np.vstack([codes, codes + 1.0]))
+        n = self._comparable_rows(T, period)
+        np.testing.assert_allclose(self._stream(m, trace)[:n],
+                                   predict_rows(m, trace)[:n], rtol=0, atol=1e-9)
+
+    def test_bare_arrays_assume_the_default_period(self):
+        rng = np.random.default_rng(30)
+        trace = random_trace(rng, T=90, F=2, period=0.5)
+        m = build_conv_multibranch(2, filters=3, kernel=4, dense_units=4,
+                                   window=WindowConfig(16, 8), seed=0)
+        m.norm = featurize.zscore_fit(trace.features)
+        predictor = RowStreamPredictor(m)
+        bare = np.array([predictor.push(row) for row in trace.features])
+        np.testing.assert_array_equal(bare, self._stream(m, trace))
+
+    def test_time_must_increase(self):
+        m = build_conv_multibranch(2, filters=3, kernel=4, dense_units=4,
+                                   window=WindowConfig(16, 8), seed=0)
+        predictor = RowStreamPredictor(m)
+        predictor.push(SampleRow(t=3.0, features=np.zeros(2), label=0))
+        with pytest.raises(NonMonotonicTimeError):
+            predictor.push(SampleRow(t=3.0, features=np.ones(2), label=0))
+
+    def test_state_is_bounded_and_work_is_constant(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        m = build_conv_multibranch(3, filters=3, kernel=4, dense_units=4,
+                                   window=WindowConfig(16, 8), seed=0)
+        rows = rng.normal(size=(64, 3))
+        predictor = RowStreamPredictor(m)
+        # Count only blocks allocated by sidewatch code: tracemalloc sees the
+        # whole process, and a table of the test runner or the interpreter
+        # may grow once while the loop runs.
+        ours = [tracemalloc.Filter(True, str(Path(models.__file__).parent / "*"))]
+        retained = {}
+        tracemalloc.start()
+        try:
+            for i in range(10_000):
+                predictor.push(SampleRow(t=0.5 * i, features=rows[i % 64], label=0))
+                if i + 1 in (2_000, 10_000):
+                    snap = tracemalloc.take_snapshot().filter_traces(ours)
+                    retained[i + 1] = sum(s.size for s in snap.statistics("filename"))
+        finally:
+            tracemalloc.stop()
+        assert abs(retained[10_000] - retained[2_000]) <= 512
+
+        calls = []
+        forward = Conv1D.forward
+
+        def counting(layer, *args, **kwargs):
+            calls.append(layer)
+            return forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(Conv1D, "forward", counting)
+        _, _, f_mid, f_long = featurize.branch_geometry(0.5)
+        for i in range(10_000, 10_100):
+            calls.clear()
+            predictor.push(SampleRow(t=0.5 * i, features=rows[i % 64], label=0))
+            assert len(calls) == 3 + (i % f_mid == 0) + (i % f_long == 0) <= 5
 
 
 class TestEncoders:
