@@ -14,6 +14,7 @@ configuration next to its outputs so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -27,7 +28,7 @@ from .errors import SidewatchError
 from .featurize import chunk_sequences
 from .models import TrainConfig
 from .nn import OptimizerSpec
-from .telemetry import MANIFEST_FILENAME, SampleRow
+from .telemetry import MANIFEST_FILENAME
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,6 +51,13 @@ def _int_list(text: str) -> list[int]:
         lo, hi = text.split(":", 1)
         return list(range(int(lo), int(hi) + 1))
     return [int(tok) for tok in text.split(",") if tok]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -116,9 +124,10 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=100,
+    p.add_argument("--epochs", type=_positive_int, default=100,
                    help="maximum training epochs/iterations (default 100)")
-    p.add_argument("--batch-size", type=int, default=32, help="minibatch size (default 32)")
+    p.add_argument("--batch-size", type=_positive_int, default=32,
+                   help="minibatch size (default 32)")
     p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
     p.add_argument("--optimizer", choices=("adam", "rmsprop"), default="adam",
                    help="optimizer kind (default adam)")
@@ -126,7 +135,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="early-stop patience in epochs (default: no early stop)")
     p.add_argument("--val-fraction", type=float, default=0.0,
                    help="fraction of training data held out for validation (default 0)")
-    p.add_argument("--rows-per-trace", type=int, default=16,
+    p.add_argument("--rows-per-trace", type=_positive_int, default=16,
                    help="conv training rows sampled per trace per epoch (default 16)")
     p.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
 
@@ -325,15 +334,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_rows(source, follow: bool, poll_s: float = 0.2):
-    """Yield (index, SampleRow) from a trace CSV path or '-' (stdin)."""
+    """Yield (index, SampleRow) from a trace CSV path or '-' (stdin).
+
+    Cells are read by the trace file rules (telemetry.RowParser).
+    """
     if source == "-":
         fh = sys.stdin
         close = False
     else:
-        fh = open(source, "r", encoding="utf-8")
+        fh = open(source, "r", encoding="utf-8", newline="")
         close = True
     try:
-        header = None
+        parser = None
         index = 0
         while True:
             line = fh.readline()
@@ -342,39 +354,18 @@ def _read_rows(source, follow: bool, poll_s: float = 0.2):
                     time.sleep(poll_s)
                     continue
                 return
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            cells = line.split(",")
-            if header is None:
-                header = [c.strip() for c in cells]
+            cells = next(csv.reader([line]))
+            if parser is None:
+                parser = telemetry.RowParser(cells, where=str(source))
                 continue
-            row = _row_from_cells(header, cells, index)
+            row = parser.parse(cells)
             index += 1
             yield index - 1, row
     finally:
         if close:
             fh.close()
-
-
-def _row_from_cells(header: list[str], cells: list[str], index: int) -> SampleRow:
-    mapping = dict(zip(header, cells))
-    t = float(mapping.get(telemetry.TIME_COLUMN, index * 0.5))
-    label = int(float(mapping.get(telemetry.LABEL_COLUMN, 0) or 0))
-    feats = [
-        float(v) if _is_number(v) else 0.0
-        for k, v in zip(header, cells)
-        if k not in (telemetry.TIME_COLUMN, telemetry.LABEL_COLUMN)
-    ]
-    return SampleRow(t=t, features=np.asarray(feats, dtype=np.float64), label=label)
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def _cmd_detect(args) -> int:

@@ -224,6 +224,101 @@ def _impute(cell: str, prev: float) -> float:
     return v
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """Where a CSV header's feature, time and label columns sit."""
+
+    width: int
+    feature_names: list[str]
+    feature_idx: list[int]
+    time_idx: int | None
+    label_idx: int | None
+
+
+def _columns(header: list[str], schema: TraceSchema, where: str) -> _Columns:
+    if schema.feature_cols is None:
+        feature_cols = [c for c in header if c not in (schema.time_col, schema.label_col)]
+    else:
+        missing = [c for c in schema.feature_cols if c not in header]
+        if missing:
+            raise MissingColumnError(f"{where}: schema columns {missing} not in header")
+        feature_cols = list(schema.feature_cols)
+    if not feature_cols:
+        raise MissingColumnError(f"{where}: no feature columns")
+    return _Columns(
+        width=len(header),
+        feature_names=feature_cols,
+        feature_idx=[header.index(c) for c in feature_cols],
+        time_idx=header.index(schema.time_col) if schema.time_col in header else None,
+        label_idx=header.index(schema.label_col) if schema.label_col in header else None,
+    )
+
+
+def _row_values(row: list[str]) -> list[float]:
+    try:
+        return list(map(float, row))
+    except ValueError:
+        return [_impute(cell, math.nan) for cell in row]
+
+
+def _fill_forward(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Replace each NaN of a [T, n] array by the value above it in its column;
+    *first* [n] stands above row 0."""
+    missing = np.isnan(values)
+    if not missing.any():
+        return values
+    T, n = values.shape
+    src = np.where(missing, 0, np.arange(1, T + 1)[:, None])
+    np.maximum.accumulate(src, axis=0, out=src)
+    return np.vstack([first[None, :], values])[src, np.arange(n)]
+
+
+def _decode_rows(
+    cols: _Columns,
+    rows: list[list[str]],
+    where: str,
+    first_row: int,
+    prev_features: np.ndarray,
+    prev_label: int,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Times (None without a time column), features and labels of CSV rows.
+
+    A feature or label cell that is not a finite number takes the value of
+    the row above; *prev_features* and *prev_label* stand above the first
+    row. A time cell that is not a finite number raises.
+    """
+    for i, row in enumerate(rows):
+        if len(row) != cols.width:
+            raise RaggedRowError(
+                f"{where}: row {first_row + i} has {len(row)} fields, header has {cols.width}"
+            )
+    # One cast for the whole block; only a block with a cell that is not a
+    # number goes row by row, and only its failing rows cell by cell.
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        values = np.array([_row_values(row) for row in rows], dtype=np.float64)
+    values[~np.isfinite(values)] = np.nan
+
+    times = None
+    if cols.time_idx is not None:
+        times = values[:, cols.time_idx].copy()
+        bad = np.isnan(times)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonMonotonicTimeError(
+                f"{where}: row {first_row + i} time {rows[i][cols.time_idx]!r} "
+                "is not a finite number"
+            )
+    features = _fill_forward(np.ascontiguousarray(values[:, cols.feature_idx]), prev_features)
+    if cols.label_idx is None:
+        labels = np.zeros(len(rows), dtype=np.int64)
+    else:
+        filled = _fill_forward(values[:, [cols.label_idx]], np.array([float(prev_label)]))
+        labels = (filled[:, 0] >= 0.5).astype(np.int64)
+    return times, features, labels
+
+
 def parse_trace_csv(
     path: str | Path,
     schema: TraceSchema | None = None,
@@ -235,7 +330,8 @@ def parse_trace_csv(
     outside the convention fall back to a generic benign placeholder so
     ad-hoc files remain loadable. The time column is optional (synthesized
     as index × sample period when absent); so is the label column (rows
-    default to benign, for unlabeled live captures).
+    default to benign, for unlabeled live captures). A time cell that is
+    not a finite number raises NonMonotonicTimeError.
     """
     path = Path(path)
     schema = schema or TraceSchema()
@@ -254,52 +350,15 @@ def parse_trace_csv(
         except (MalformedNameError, UnknownCategoryError, BadOnsetError):
             meta = TraceMeta(path.stem or "trace", "unknown", "unknown", "benign")
 
-    has_time = schema.time_col in header
-    has_label = schema.label_col in header
-    if schema.feature_cols is None:
-        feature_cols = [c for c in header if c not in (schema.time_col, schema.label_col)]
-    else:
-        missing = [c for c in schema.feature_cols if c not in header]
-        if missing:
-            raise MissingColumnError(f"{path}: schema columns {missing} not in header")
-        feature_cols = list(schema.feature_cols)
-    if not feature_cols:
-        raise MissingColumnError(f"{path}: no feature columns")
-
+    cols = _columns(header, schema, str(path))
     if not raw_rows:
         raise EmptyTraceError(f"{path}: header only, no data rows")
 
-    col_index = {c: header.index(c) for c in feature_cols}
-    time_idx = header.index(schema.time_col) if has_time else None
-    label_idx = header.index(schema.label_col) if has_label else None
+    T = len(raw_rows)
+    times, features, labels = _decode_rows(
+        cols, raw_rows, str(path), 0, np.zeros(len(cols.feature_idx)), 0)
 
-    T, F = len(raw_rows), len(feature_cols)
-    features = np.zeros((T, F), dtype=np.float64)
-    times = np.zeros(T, dtype=np.float64)
-    labels = np.zeros(T, dtype=np.int64)
-    prev_feat = np.zeros(F, dtype=np.float64)
-    prev_label = 0
-
-    for i, row in enumerate(raw_rows):
-        if len(row) != len(header):
-            raise RaggedRowError(
-                f"{path}: row {i} has {len(row)} fields, header has {len(header)}"
-            )
-        for j, col in enumerate(feature_cols):
-            features[i, j] = _impute(row[col_index[col]], prev_feat[j])
-        prev_feat = features[i]
-        if time_idx is not None:
-            try:
-                times[i] = float(row[time_idx])
-            except ValueError:
-                raise NonMonotonicTimeError(
-                    f"{path}: row {i} time {row[time_idx]!r} is not a number"
-                ) from None
-        if label_idx is not None:
-            labels[i] = 1 if _impute(row[label_idx], float(prev_label)) >= 0.5 else 0
-        prev_label = int(labels[i])
-
-    if time_idx is None:
+    if times is None:
         times = np.arange(T, dtype=np.float64) * meta.sample_period_s
     else:
         if np.any(np.diff(times) <= 0):
@@ -308,27 +367,54 @@ def parse_trace_csv(
         if T >= 2:
             meta = replace(meta, sample_period_s=float(times[1] - times[0]))
 
-    return Trace(meta=meta, header=feature_cols, times=times, features=features, labels=labels)
+    return Trace(meta=meta, header=cols.feature_names, times=times, features=features,
+                 labels=labels)
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal text that round-trips the float64 exactly."""
-    return repr(float(x))
+class RowParser:
+    """Parse a trace CSV one data row at a time, by parse_trace_csv's rules.
+
+    For live streams: a feature or label cell that is not a finite number
+    takes the previous row's value (0 on the first row), a time cell that
+    is not a finite number raises NonMonotonicTimeError, and without a
+    time column row i is at ``i * DEFAULT_SAMPLE_PERIOD_S``.
+    """
+
+    def __init__(self, header: list[str], where: str = "stream"):
+        self.cols = _columns([h.strip() for h in header], TraceSchema(), where)
+        self.where = where
+        self.rows = 0
+        self._prev_features = np.zeros(len(self.cols.feature_idx))
+        self._prev_label = 0
+
+    def parse(self, cells: list[str]) -> SampleRow:
+        times, features, labels = _decode_rows(
+            self.cols, [cells], self.where, self.rows, self._prev_features, self._prev_label)
+        t = self.rows * DEFAULT_SAMPLE_PERIOD_S if times is None else float(times[0])
+        self.rows += 1
+        self._prev_features = features[0]
+        self._prev_label = int(labels[0])
+        return SampleRow(t=t, features=features[0], label=self._prev_label)
 
 
 def write_trace_csv(trace: Trace, path: str | Path, schema: TraceSchema | None = None) -> None:
-    """Write a Trace so that parse_trace_csv reproduces it field-exactly."""
+    """Write a Trace so that parse_trace_csv reproduces it field-exactly.
+
+    Every float is written as its shortest round-tripping decimal (``repr``).
+    """
     schema = schema or TraceSchema()
     path = Path(path)
+    times = np.asarray(trace.times, dtype=np.float64).tolist()
+    features = np.asarray(trace.features, dtype=np.float64)
+    labels = trace.labels.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.time_col, *trace.header, schema.label_col])
-        for i in range(trace.num_rows):
-            writer.writerow(
-                [_fmt(trace.times[i])]
-                + [_fmt(v) for v in trace.features[i]]
-                + [int(trace.labels[i])]
-            )
+        csv.writer(fh).writerow([schema.time_col, *trace.header, schema.label_col])
+        # Number cells never need quoting, so rows are joined directly, with
+        # csv's default line end; one row at a time keeps memory flat.
+        fh.writelines(
+            ",".join([repr(t), *map(repr, row.tolist()), str(int(label))]) + "\r\n"
+            for t, row, label in zip(times, features, labels)
+        )
 
 
 # --- validation -------------------------------------------------------------

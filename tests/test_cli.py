@@ -107,6 +107,14 @@ class TestTrainEval:
         p2 = predict_rows(models.load_model(model_path), test[0])
         np.testing.assert_array_equal(p1, p2)
 
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size", "--rows-per-trace"])
+    def test_zero_count_is_usage_error(self, cli_corpus, flag, capsys):
+        root, corpus, _ = cli_corpus
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--corpus", str(corpus), "--family", "mlp", flag, "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert "positive integer" in capsys.readouterr().err
+
     def test_wrong_family_is_usage_error(self, cli_corpus):
         root, corpus, _ = cli_corpus
         with pytest.raises(SystemExit) as exc:
@@ -227,6 +235,49 @@ class TestDetect:
                               DetectorConfig(consec_threshold=20))
         alert = next(r for r in lines if r["event"] == "alert")
         assert alert["row"] == batch.alert_row
+
+
+    def test_dirty_cells_alert_matches_batch_verdict(self, cli_corpus, tmp_path):
+        # Blank, nan, inf and Yes cells and quoted numbers: the live path
+        # reads them by the file parser's rules, so it alerts where the
+        # batch path does.
+        root, corpus, model_path = cli_corpus
+        trace_path, meta = self._malicious_trace_path(corpus)
+        lines = trace_path.read_bytes().decode("utf-8").split("\r\n")
+        width = len(lines[0].split(","))
+        tokens = ["", "nan", "inf", "Yes"]
+        for k, i in enumerate(range(2, len(lines) - 1, 3)):
+            cells = lines[i].split(",")
+            cells[1 + k % (width - 2)] = tokens[k % len(tokens)]
+            cells[1 + (k + 3) % (width - 2)] = f'"{cells[1 + (k + 3) % (width - 2)]}"'
+            if k % 7 == 0:
+                cells[-1] = tokens[k % len(tokens)]
+            lines[i] = ",".join(cells)
+        dirty = tmp_path / trace_path.name
+        dirty.write_text("\r\n".join(lines), encoding="utf-8", newline="")
+        events = tmp_path / "events.jsonl"
+        rc = cli.main(["detect", "--model", str(model_path), "--source", str(dirty),
+                       "--threshold", "20", "--events", str(events)])
+        artifact = models.load_model(model_path)
+        batch = classify_file(predict_rows(artifact, telemetry.parse_trace_csv(dirty)),
+                              DetectorConfig(consec_threshold=20))
+        assert batch.alert_row is not None
+        assert rc == EXIT_ALERT
+        lines = [json.loads(ln) for ln in events.read_text().splitlines()]
+        alert = next(r for r in lines if r["event"] == "alert")
+        assert alert["row"] == batch.alert_row
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "x"])
+    def test_bad_time_cell_is_data_error(self, cli_corpus, tmp_path, capsys, token):
+        root, corpus, model_path = cli_corpus
+        trace_path, meta = self._malicious_trace_path(corpus)
+        lines = trace_path.read_bytes().decode("utf-8").split("\r\n")
+        lines[5] = token + lines[5][lines[5].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\r\n".join(lines), encoding="utf-8", newline="")
+        rc = cli.main(["detect", "--model", str(model_path), "--source", str(bad)])
+        assert rc == EXIT_DATA
+        assert "row 4 time" in capsys.readouterr().err
 
 
 class TestDetectConvResume:

@@ -151,6 +151,11 @@ def _blob_data(rng, n=120):
 
 
 class TestTraining:
+    @pytest.mark.parametrize("field", ["max_epochs", "batch_size", "rows_per_trace"])
+    def test_zero_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 0})
+
     def test_same_seed_identical_runs(self):
         rng = np.random.default_rng(0)
         X, y = _blob_data(rng)

@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +174,180 @@ class TestCsvParsing:
             path = tmp_path / f"case{i}.csv"
             write_trace_csv(trace, path)
             assert parse_trace_csv(path, meta=trace.meta) == trace
+
+
+def _oracle_parse(path):
+    """The per-cell parser that the bulk parse replaced: the reference the
+    fast path must equal field for field (default schema, time column
+    present, cells that are not finite numbers taken from the row above)."""
+
+    def impute(cell, prev):
+        try:
+            v = float(cell)
+        except ValueError:
+            return prev
+        return v if math.isfinite(v) else prev
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = [row for row in reader if row]
+    feature_cols = [c for c in header if c not in ("time_s", "label")]
+    col_index = [header.index(c) for c in feature_cols]
+    time_idx = header.index("time_s")
+    label_idx = header.index("label") if "label" in header else None
+    T, F = len(rows), len(feature_cols)
+    features = np.zeros((T, F), dtype=np.float64)
+    times = np.zeros(T, dtype=np.float64)
+    labels = np.zeros(T, dtype=np.int64)
+    prev_feat = np.zeros(F, dtype=np.float64)
+    prev_label = 0
+    for i, row in enumerate(rows):
+        for j, c in enumerate(col_index):
+            features[i, j] = impute(row[c], prev_feat[j])
+        prev_feat = features[i]
+        times[i] = float(row[time_idx])
+        if label_idx is not None:
+            labels[i] = 1 if impute(row[label_idx], float(prev_label)) >= 0.5 else 0
+        prev_label = int(labels[i])
+    return feature_cols, times, features, labels
+
+
+def _oracle_write(trace) -> bytes:
+    """The per-row csv.writer the row-string writer replaced."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["time_s", *trace.header, "label"])
+    for i in range(trace.num_rows):
+        writer.writerow([repr(float(trace.times[i]))]
+                        + [repr(float(v)) for v in trace.features[i]]
+                        + [int(trace.labels[i])])
+    return buf.getvalue().encode("utf-8")
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+DIRTY_TOKENS = ("", "nan", "inf", "-inf", "Yes", " 1.5 ", "1_0")
+
+_extreme_floats = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+)
+
+
+class TestBulkParseEquivalence:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 30),
+        F=st.integers(1, 5),
+        dirty=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                 st.floats(0, 1, exclude_max=True),
+                                 st.sampled_from(DIRTY_TOKENS)), max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fast_parse_equals_per_cell_oracle(self, tmp_path_factory, seed, T, F, dirty):
+        rng = np.random.default_rng(seed)
+        onset = int(rng.integers(0, T)) if rng.random() < 0.5 else None
+        trace = random_trace(rng, T=T, F=F, category="worm" if onset is not None else "office",
+                             onset_row=onset)
+        path = tmp_path_factory.mktemp("bulk") / "t.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        for r, c, token in dirty:
+            # Feature and label columns only: a bad time cell is an error.
+            row, col = 1 + int(r * T), 1 + int(c * (F + 1))
+            cells = lines[row].split(",")
+            cells[col] = token
+            lines[row] = ",".join(cells)
+        path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
+
+        got = parse_trace_csv(path, meta=trace.meta)
+        header, times, features, labels = _oracle_parse(path)
+        assert got.header == header
+        assert got.meta == trace.meta
+        assert _same_bits(got.times, times)
+        assert _same_bits(got.features, features)
+        assert _same_bits(got.labels, labels)
+        assert got.features.flags["C_CONTIGUOUS"]
+
+    @given(
+        T=st.integers(1, 12),
+        F=st.integers(0, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_writer_bytes_equal_per_row_oracle(self, tmp_path_factory, T, F, data):
+        values = np.array(data.draw(st.lists(_extreme_floats, min_size=T * (F + 1),
+                                             max_size=T * (F + 1))), dtype=np.float64)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=T, max_size=T)),
+                          dtype=np.int64)
+        trace = telemetry.Trace(
+            meta=TraceMeta("s", "Win7SP1", "hw1", "office"),
+            header=[f"sensor_{j}" for j in range(F)],
+            times=values[:T],
+            features=values[T:].reshape(T, F),
+            labels=labels,
+        )
+        path = tmp_path_factory.mktemp("write") / "t.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == _oracle_write(trace)
+
+    def test_quoted_header_name_round_trips(self, tmp_path):
+        rng = np.random.default_rng(11)
+        trace = random_trace(rng, T=4, F=2)
+        trace.header = ["temp, core 0", 'fan "1"']
+        path = tmp_path / "q.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == _oracle_write(trace)
+        assert parse_trace_csv(path, meta=trace.meta) == trace
+
+    @pytest.mark.parametrize("row", [0, 1, -1])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, tmp_path, row, token):
+        rng = np.random.default_rng(12)
+        trace = random_trace(rng, T=5, F=2)
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        data_rows = lines[1:-1]
+        cells = data_rows[row].split(",")
+        cells[0] = token
+        data_rows[row] = ",".join(cells)
+        path.write_text("\r\n".join([lines[0], *data_rows, ""]), encoding="utf-8", newline="")
+        with pytest.raises(NonMonotonicTimeError, match=f"row {row % 5} time"):
+            parse_trace_csv(path)
+
+
+class TestRowParser:
+    def test_rows_equal_file_parse(self, tmp_path):
+        text = ("time_s,a,b,label\r\n0.0,Yes,2,0\r\n0.5,,nan,1\r\n"
+                '1.0,"5",inf,\r\n1.5, 1.5 ,1_0,Yes\r\n')
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        trace = parse_trace_csv(path)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        parser = telemetry.RowParser(next(reader))
+        rows = [parser.parse(cells) for cells in reader]
+        assert [r.t for r in rows] == trace.times.tolist()
+        assert _same_bits(np.stack([r.features for r in rows]), trace.features)
+        assert [r.label for r in rows] == trace.labels.tolist()
+
+    def test_without_time_column_uses_default_period(self):
+        parser = telemetry.RowParser(["a", "label"])
+        assert [parser.parse(["1", "0"]).t for _ in range(3)] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("cells, error", [
+        (["nan", "1", "0"], NonMonotonicTimeError),
+        (["x", "1", "0"], NonMonotonicTimeError),
+        (["0.0", "1"], RaggedRowError),
+    ])
+    def test_bad_rows_rejected(self, cells, error):
+        parser = telemetry.RowParser(["time_s", "a", "label"])
+        with pytest.raises(error):
+            parser.parse(cells)
 
 
 class TestValidation:
