@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evalharness, models, synthgen, telemetry
-from .detector import DetectorConfig, StreamState, stream_step
+from .detector import DetectorConfig, StreamState, advance_clock, stream_step
 from .errors import SidewatchError
 from .featurize import chunk_sequences
 from .models import TrainConfig
@@ -336,7 +336,9 @@ def _cmd_sweep(args) -> int:
 def _read_rows(source, follow: bool, poll_s: float = 0.2):
     """Yield (index, SampleRow) from a trace CSV path or '-' (stdin).
 
-    Cells are read by the trace file rules (telemetry.RowParser).
+    Cells are read by the trace file rules (telemetry.RowParser). When
+    following a file, a line is parsed only once its newline has arrived;
+    otherwise a last line without one is parsed as it stands.
     """
     if source == "-":
         fh = sys.stdin
@@ -344,15 +346,19 @@ def _read_rows(source, follow: bool, poll_s: float = 0.2):
     else:
         fh = open(source, "r", encoding="utf-8", newline="")
         close = True
+    wait = follow and source != "-"
     try:
         parser = None
         index = 0
+        partial = ""
         while True:
-            line = fh.readline()
+            line = partial + fh.readline()
+            if wait and not line.endswith("\n"):
+                partial = line  # the writer has not finished this line yet
+                time.sleep(poll_s)
+                continue
+            partial = ""
             if not line:
-                if follow and source != "-":
-                    time.sleep(poll_s)
-                    continue
                 return
             if not line.strip():
                 continue
@@ -393,11 +399,13 @@ def _cmd_detect(args) -> int:
             rows_read = index + 1
             # Rows before the checkpoint still replay through the predictor
             # so its feature history (windows, chunk buffers) is rebuilt;
-            # only the detector counter skips them.
+            # only the detector counter skips them. Every row's time is
+            # checked, scored or not.
             prob = predictor.push(row)
             if index < start_index or prob is None:
+                advance_clock(state, row)
                 continue
-            event = stream_step(state, prob)
+            event = stream_step(state, row, prob=prob)
             if event != "none":
                 record = {"event": event, "row": index, "t": row.t,
                           "model": artifact.family, "probability": prob}
@@ -611,11 +619,34 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     converted = {}
     for key, value in doc.items():
         action = next(a for a in subparser._actions if a.dest == key)
-        if action.type is not None and isinstance(value, str):
-            value = action.type(value)
-        converted[key] = value
+        try:
+            converted[key] = _config_value(action, value)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            subparser.error(f"{path}: config key {key!r}: {exc}")
     subparser.set_defaults(**converted)
     return argv
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value after its flag's own checks, as if typed on the
+    command line: its text (a list joined with commas, or item by item
+    for a repeatable flag) goes through the flag's type, then its choices.
+    A switch (a flag that takes no value) takes true or false.
+    """
+    if action.nargs == 0 and not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    repeatable = isinstance(action, argparse._AppendAction)
+    if isinstance(value, list) and not repeatable:
+        value = ",".join(map(str, value))
+    items = value if repeatable and isinstance(value, list) else [value]
+    checked = []
+    for item in items:
+        if action.type is not None:
+            item = action.type(str(item))
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"invalid choice {item!r}")
+        checked.append(item)
+    return checked if repeatable else checked[0]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -114,6 +114,15 @@ class StreamState:
         # rows_seen and last_t persist: the stream itself has not restarted.
 
 
+def advance_clock(state: StreamState, row: SampleRow) -> None:
+    """Move the stream's clock to *row*; a row whose time is not later
+    than the last one's raises OutOfOrderRowError. stream_step does this
+    for every SampleRow; call it directly for rows that are not scored."""
+    if state.last_t is not None and row.t <= state.last_t:
+        raise OutOfOrderRowError(f"row at t={row.t} after t={state.last_t}")
+    state.last_t = row.t
+
+
 def stream_step(state: StreamState, row, prob: float | None = None,
                 predictor=None) -> str:
     """Advance the detector one row; returns the emitted event.
@@ -126,9 +135,7 @@ def stream_step(state: StreamState, row, prob: float | None = None,
     """
     cfg = state.cfg
     if isinstance(row, SampleRow):
-        if state.last_t is not None and row.t <= state.last_t:
-            raise OutOfOrderRowError(f"row at t={row.t} after t={state.last_t}")
-        state.last_t = row.t
+        advance_clock(state, row)
         if prob is None:
             if predictor is None:
                 raise ValueError("need a predictor or an explicit probability for SampleRow")

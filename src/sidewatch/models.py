@@ -1038,12 +1038,33 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
         fh.write("\n")
 
 
+_CHECKSUM_HEAD = b'{"checksum":"'
+
+
+def _checksum_matches(data: bytes) -> bool:
+    """Whether *data*, a whole artifact file, carries the checksum of its bytes.
+
+    save_model sorts keys, so the checksum is the first member, and the
+    document it hashed is the file without ``"checksum":"<hex>",`` and
+    without the line end. Those bytes are hashed in place.
+    """
+    hex_end = len(_CHECKSUM_HEAD) + 64
+    if not data.startswith(_CHECKSUM_HEAD) or data[hex_end:hex_end + 2] != b'",':
+        return False
+    body = memoryview(data)[hex_end + 2:]
+    while body and body[-1] in b"\r\n":
+        body = body[:-1]
+    digest = hashlib.sha256(b"{")
+    digest.update(body)
+    return digest.hexdigest().encode() == data[len(_CHECKSUM_HEAD):hex_end]
+
+
 def load_model(path: str | Path) -> ModelArtifact:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise CorruptArtifactError(f"{path}: not a valid artifact file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != ARTIFACT_FORMAT:
         raise CorruptArtifactError(f"{path}: not a sidewatch model artifact")
@@ -1051,8 +1072,7 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise VersionMismatchError(
             f"{path}: artifact version {doc.get('version')} != {ARTIFACT_VERSION}"
         )
-    expected = doc.pop("checksum", None)
-    if expected is None or _checksum(doc) != expected:
+    if not _checksum_matches(data):
         raise CorruptArtifactError(f"{path}: checksum mismatch (truncated or edited?)")
     try:
         return _artifact_from_doc(doc)

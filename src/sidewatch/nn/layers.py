@@ -197,6 +197,10 @@ class Conv1D(Layer):
         # (window rows are contiguous), which matmul cannot hand to BLAS;
         # materializing it buys a ~10x faster GEMM for one extra copy.
         k = self.kernel_size
+        if xb.shape[1] == k:
+            # One position (a live stream's step): the kernel-major row is
+            # the input's own row-major layout.
+            return np.ascontiguousarray(xb).reshape(xb.shape[0], 1, k * xb.shape[2])
         sw = np.lib.stride_tricks.sliding_window_view(xb, k, axis=1)  # [B, P, C, k]
         cols = sw.transpose(0, 1, 3, 2).reshape(
             xb.shape[0], xb.shape[1] - k + 1, k * xb.shape[2])

@@ -165,6 +165,49 @@ class TestTrainEval:
         assert rc == EXIT_DATA
         assert "no_such_flag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", 0])
+    def test_config_value_goes_through_flag_check(self, cli_corpus, tmp_path, capsys, value):
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"batch_size": value}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                      "--family", "mlp", "--out", str(tmp_path / "r")])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'batch_size'" in err and "positive integer" in err
+
+    def test_config_value_outside_choices_is_usage_error(self, cli_corpus, tmp_path, capsys):
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"optimizer": "sgd"}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                      "--family", "mlp", "--out", str(tmp_path / "r")])
+        assert exc.value.code == EXIT_USAGE
+        assert "'optimizer'" in capsys.readouterr().err
+
+    def test_config_switch_takes_a_boolean(self, cli_corpus, tmp_path, capsys):
+        root, corpus, model_path = cli_corpus
+        cfg = tmp_path / "detect.json"
+        cfg.write_text(json.dumps({"no_latch": "no"}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", "--config", str(cfg), "--model", str(model_path),
+                      "--source", str(tmp_path / "unread.csv")])
+        assert exc.value.code == EXIT_USAGE
+        assert "'no_latch'" in capsys.readouterr().err
+
+    def test_config_list_reads_as_comma_text(self, cli_corpus, tmp_path):
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"hidden": [8, 4], "epochs": 1, "lr": 0.002}))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                       "--family", "mlp", "--out", str(out)])
+        assert rc == EXIT_OK
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["hidden"] == [8, 4] and effective["lr"] == 0.002
+
 
 class TestSweepCommand:
     def test_threshold_sweep_curve_rows(self, cli_corpus, tmp_path):
@@ -279,6 +322,59 @@ class TestDetect:
         assert rc == EXIT_DATA
         assert "row 4 time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,resume", [("mlp", False), ("mlp", True), ("rnn", False)])
+    def test_time_stepping_back_is_data_error(self, cli_corpus, tmp_path, capsys,
+                                              family, resume):
+        root, corpus, model_path = cli_corpus
+        trace_path, meta = self._malicious_trace_path(corpus)
+        lines = trace_path.read_bytes().decode("utf-8").split("\r\n")
+        # Data row 50 (line 51) takes row 48's time: the clock steps back.
+        lines[51] = lines[49].split(",")[0] + lines[51][lines[51].index(","):]
+        bad = tmp_path / "back.csv"
+        bad.write_text("\r\n".join(lines), encoding="utf-8", newline="")
+        if family == "rnn":
+            F = len(lines[0].split(",")) - 2
+            artifact = models.build_rnn(F, cell="vanilla", seed=0)
+            artifact.sequence_length = 40  # row 50 is buffered, never scored
+            model_path = tmp_path / "rnn.json"
+            models.save_model(artifact, model_path)
+        argv = ["detect", "--model", str(model_path), "--source", str(bad)]
+        if resume:
+            # Rows before the checkpoint replay through the predictor unscored.
+            ckpt = tmp_path / "ckpt.json"
+            ckpt.write_text(json.dumps({"rows_seen": 100, "run": 0, "alerted": False,
+                                        "alert_row": None, "source_rows_read": 100}))
+            argv += ["--checkpoint", str(ckpt)]
+        assert cli.main(argv) == EXIT_DATA
+        assert "t=24.0 after t=24.5" in capsys.readouterr().err
+
+    def test_follow_waits_for_the_newline(self, tmp_path, monkeypatch):
+        path = tmp_path / "live.csv"
+        path.write_text("time_s,a,b\n0.0,1,2\n0.5")
+        waits = []
+
+        def writer_catches_up(seconds):
+            waits.append(seconds)
+            if len(waits) == 2:
+                with open(path, "a") as fh:
+                    fh.write(",4\n")
+
+        monkeypatch.setattr(cli.time, "sleep", writer_catches_up)
+        rows = cli._read_rows(str(path), follow=True, poll_s=0.01)
+        index, row = next(rows)
+        assert index == 0 and row.features.tolist() == [1.0, 2.0]
+        with open(path, "a") as fh:
+            fh.write(",3")  # still unfinished
+        index, row = next(rows)
+        assert index == 1 and row.t == 0.5 and row.features.tolist() == [3.0, 4.0]
+        assert waits == [0.01, 0.01]
+
+    def test_last_line_without_newline_is_parsed_without_follow(self, tmp_path):
+        path = tmp_path / "done.csv"
+        path.write_text("time_s,a,b\n0.0,1,2\n0.5,3,4")
+        rows = [row.features.tolist() for _, row in cli._read_rows(str(path), follow=False)]
+        assert rows == [[1.0, 2.0], [3.0, 4.0]]
+
 
 class TestDetectConvResume:
     def test_stateful_predictor_resume_matches_full_replay(self, cli_corpus, tmp_path):
@@ -348,6 +444,15 @@ class TestInspect:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["inspect", "--model", str(path)]) == EXIT_DATA
+
+    def test_non_utf8_artifact_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        models.save_model(build_mlp(3, seed=0), path)
+        data = bytearray(path.read_bytes())
+        data[40] = 0xFF
+        path.write_bytes(bytes(data))
+        assert cli.main(["inspect", "--model", str(path)]) == EXIT_DATA
+        assert "not a valid artifact file" in capsys.readouterr().err
 
 
 class TestHelp:

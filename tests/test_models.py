@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -39,6 +40,8 @@ from sidewatch.nn import Conv1D, OptimizerSpec
 from sidewatch.telemetry import SampleRow
 
 from conftest import random_trace
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParameterAccounting:
@@ -560,7 +563,6 @@ class TestPersistence:
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):
-        import json
         m = build_mlp(3, seed=0)
         path = tmp_path / "model.json"
         save_model(m, path)
@@ -575,3 +577,56 @@ class TestPersistence:
             load_model(tmp_path / "nope.json")
         with pytest.raises(OSError):
             load_model("")
+
+    def test_non_utf8_byte_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build_mlp(3, seed=0), path)
+        data = bytearray(path.read_bytes())
+        data[40] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError):
+            load_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_single_byte_edit_is_refused(self, tmp_path_factory, data):
+        # The checksum covers the bytes as written, so no edit before the
+        # line end can load, and none may escape as another exception.
+        original = (DATA / "v1_mlp.json").read_bytes()
+        pos = data.draw(st.integers(0, len(original) - 2), label="pos")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != original[pos]),
+                         label="byte")
+        path = tmp_path_factory.getbasetemp() / "byte_edit.json"
+        path.write_bytes(original[:pos] + bytes([byte]) + original[pos + 1:])
+        with pytest.raises((CorruptArtifactError, VersionMismatchError)):
+            load_model(path)
+
+    def test_reindented_artifact_is_refused(self, tmp_path):
+        # The checksum is over the bytes save_model wrote: the same document
+        # serialised another way counts as edited.
+        path = tmp_path / "model.json"
+        save_model(build_mlp(3, seed=0), path)
+        load_model(path)
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+        with pytest.raises(CorruptArtifactError):
+            load_model(path)
+
+    def test_crlf_line_end_is_accepted(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build_mlp(3, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-1] + b"\r\n")
+        assert load_model(path).family == "mlp"
+
+    def test_version_1_artifact_still_loads(self, tmp_path):
+        # tests/data/v1_mlp.json was written by the version-1 save_model
+        # (build_mlp(3, hidden=(4,), seed=0) with z-score stats); the probe
+        # file beside it holds input rows and the probabilities it gave.
+        original = (DATA / "v1_mlp.json").read_bytes()
+        probe = json.loads((DATA / "v1_mlp_probe.json").read_text())
+        m = load_model(DATA / "v1_mlp.json")
+        trace = random_trace(np.random.default_rng(0), T=len(probe["rows"]), F=3)
+        trace.features = np.array(probe["rows"], dtype=np.float64)
+        np.testing.assert_array_equal(predict_rows(m, trace), probe["probs"])
+        path = tmp_path / "resaved.json"
+        save_model(m, path)
+        assert path.read_bytes() == original

@@ -118,6 +118,42 @@ class TestForwardOracles:
         np.testing.assert_allclose(grads["b"], upstream)
 
 
+def _im2col_conv(layer: Conv1D, x: np.ndarray) -> np.ndarray:
+    """Conv1D by an explicit sliding-window im2col, the general path."""
+    xb = x[None] if x.ndim == 2 else x
+    k = layer.kernel_size
+    sw = np.lib.stride_tricks.sliding_window_view(xb, k, axis=1)
+    cols = np.ascontiguousarray(
+        sw.transpose(0, 1, 3, 2).reshape(xb.shape[0], xb.shape[1] - k + 1, k * xb.shape[2]))
+    y = np.tanh(cols @ layer.W.reshape(k * layer.in_channels, layer.filters) + layer.b)
+    return y[0] if x.ndim == 2 else y
+
+
+class TestConv1DOnePosition:
+    """An input exactly one kernel long (a live stream's step) skips the
+    sliding-window view; the output must not change by a bit."""
+
+    @pytest.mark.parametrize("k,C,filters,B", [
+        (1, 1, 1, 1), (2, 3, 4, 2), (4, 7, 5, 3), (32, 132, 64, 1), (32, 132, 64, 4)])
+    def test_forward_equals_im2col_bit_for_bit(self, k, C, filters, B):
+        rng = np.random.default_rng(k * 1000 + C)
+        layer = Conv1D(C, filters, k, "tanh", rng=rng)
+        layer.b[...] = rng.normal(size=filters)
+        buf = rng.normal(size=(B, 3 * k, C))
+        for start in (0, 1, k):
+            x = buf[:, start:start + k]  # a slice, as from a ring buffer
+            y, _ = layer.forward(x[0])
+            assert np.array_equal(y, _im2col_conv(layer, x[0]))
+            y, _ = layer.forward(x)
+            assert np.array_equal(y, _im2col_conv(layer, x))
+
+    def test_gradient_at_one_position(self):
+        rng = np.random.default_rng(21)
+        net = Sequential([Conv1D(2, 3, 4, "tanh", rng=rng), GlobalMaxPool1D(),
+                          Dense(3, 1, "sigmoid", rng=rng)])
+        assert grad_check(net, rng.normal(size=(4, 2)), 1.0) <= 1e-5
+
+
 class TestLosses:
     def test_bce_half(self):
         for y in (0.0, 1.0):
