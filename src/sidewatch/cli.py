@@ -20,12 +20,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, evalharness, models, synthgen, telemetry
 from .detector import DetectorConfig, StreamState, advance_clock, stream_step
 from .errors import SidewatchError
-from .featurize import chunk_sequences
 from .models import TrainConfig
 from .nn import OptimizerSpec
 from .telemetry import MANIFEST_FILENAME
@@ -64,6 +61,18 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+def _names_from(known: tuple[str, ...]):
+    """A flag type: comma-separated names, each one of *known*."""
+    def names(text: str) -> list[str]:
+        listed = text.split(",")
+        unknown = [name for name in listed if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown name {unknown[0]!r} (choose from {', '.join(known)})")
+        return listed
+    return names
+
+
 def _write_effective_config(args: argparse.Namespace, out_dir: Path, command: str) -> None:
     doc = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func", "config") and not k.startswith("_")}
@@ -80,12 +89,16 @@ def _default_out(command: str, seed: int) -> Path:
     return Path("runs") / f"{stamp}-{command}-seed{seed}"
 
 
-def _load_corpus(corpus: Path, split: str | None):
+def _manifest(corpus: Path) -> telemetry.Manifest:
+    """The corpus manifest file, or one built from the file names."""
     manifest_path = corpus / MANIFEST_FILENAME
     if manifest_path.exists():
-        manifest = telemetry.load_manifest(manifest_path)
-    else:
-        manifest = telemetry.build_manifest(corpus)
+        return telemetry.load_manifest(manifest_path)
+    return telemetry.build_manifest(corpus)
+
+
+def _load_corpus(corpus: Path, split: str | None):
+    manifest = _manifest(corpus)
     return manifest, telemetry.load_traces(manifest, corpus, split)
 
 
@@ -190,11 +203,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    manifest_path = args.corpus / MANIFEST_FILENAME
-    if manifest_path.exists():
-        manifest = telemetry.load_manifest(manifest_path)
-    else:
-        manifest = telemetry.build_manifest(args.corpus)
+    manifest = _manifest(args.corpus)
     test_counts = None
     if args.test_benign is not None or args.test_malicious is not None:
         if args.test_benign is None or args.test_malicious is None:
@@ -205,6 +214,7 @@ def _cmd_split(args) -> int:
     manifest = evalharness.stratified_split(
         manifest, (args.train_benign, args.train_malicious), args.seed,
         test_counts=test_counts)
+    manifest_path = args.corpus / MANIFEST_FILENAME
     telemetry.save_manifest(manifest, manifest_path)
     n = {tag: len(manifest.select(tag)) for tag in ("train", "test", "unassigned")}
     print(f"tagged {n['train']} train / {n['test']} test / "
@@ -226,7 +236,7 @@ def _build_for_train(args, F: int) -> models.ModelArtifact:
             dropout=args.dropout, seed=args.seed)
     if fam == "autoencoder":
         return models.build_autoencoder(F, args.dim, seed=args.seed)
-    cell, bi = evalharness._variant_parts(fam)
+    cell, bi = models.RNN_VARIANTS[fam]
     return models.build_rnn(F, cell=cell, bidirectional=bi, seed=args.seed)
 
 
@@ -243,19 +253,8 @@ def _cmd_train(args) -> int:
                                 else models.load_model(args.encoder).hyper["bottleneck"])
     if args.encoder is not None:
         artifact.encoder = models.load_model(args.encoder)
-    config = _train_config(args)
-
-    if artifact.family == "mlp":
-        X = np.vstack([t.features for t in traces])
-        y = np.concatenate([t.labels for t in traces])
-        data = (X, y)
-    elif artifact.family == "autoencoder":
-        data = np.vstack([t.features for t in traces])
-    elif artifact.family == "conv_multibranch":
-        data = traces
-    else:
-        data = chunk_sequences(traces, args.seq_len)
-    artifact, log = models.train_model(artifact, data, config)
+    data = models.training_data(artifact.family, traces, args.seq_len)
+    artifact, log = models.train_model(artifact, data, _train_config(args))
 
     out = args.out or _default_out("train", args.seed)
     out = Path(out)
@@ -376,10 +375,7 @@ def _read_rows(source, follow: bool, poll_s: float = 0.2):
 
 def _cmd_detect(args) -> int:
     artifact = models.load_model(args.model)
-    if artifact.family in models.ROW_FAMILIES:
-        predictor = models.RowStreamPredictor(artifact)
-    else:
-        predictor = models.SequenceStreamPredictor(artifact)
+    predictor = models.stream_predictor(artifact)
 
     state = StreamState(cfg=_detector_config(args))
     start_index = 0
@@ -550,13 +546,13 @@ def build_parser() -> _Parser:
                    help="threshold list '1:100' or comma-separated (default 1:100)")
     p.add_argument("--dims", type=_int_list, default=[5, 10, 15, 20, 30, 40, 50],
                    help="encoding dimensions (default 5,10,15,20,30,40,50)")
-    p.add_argument("--families", type=lambda s: s.split(","),
+    p.add_argument("--families", type=_names_from(models.ROW_FAMILIES),
                    default=["mlp", "conv_multibranch"],
                    help="downstream families for the encoding sweep")
     p.add_argument("--lengths", type=_int_list,
                    default=[5, 20, 40, 80, 160, 320, 640, 960],
                    help="sequence lengths (default 5,20,40,80,160,320,640,960)")
-    p.add_argument("--variants", type=lambda s: s.split(","),
+    p.add_argument("--variants", type=_names_from(models.RNN_FAMILIES),
                    default=list(models.RNN_FAMILIES),
                    help="rnn variants for the sequence-length sweep")
     _add_train_flags(p)

@@ -123,23 +123,20 @@ def advance_clock(state: StreamState, row: SampleRow) -> None:
     state.last_t = row.t
 
 
-def stream_step(state: StreamState, row, prob: float | None = None,
-                predictor=None) -> str:
+def stream_step(state: StreamState, row, prob: float | None = None) -> str:
     """Advance the detector one row; returns the emitted event.
 
-    *row* may be a SampleRow (with *predictor* supplying the probability,
-    or *prob* given explicitly) or a bare probability. Emits ``alert``
-    exactly once when the counter first reaches the threshold; in
-    latching mode every later row reports ``still_malicious`` until
-    reset(); non-latching mode re-arms once the malicious run breaks.
+    *row* may be a SampleRow with its probability given as *prob*, or a
+    bare probability. Emits ``alert`` exactly once when the counter first
+    reaches the threshold; in latching mode every later row reports
+    ``still_malicious`` until reset(); non-latching mode re-arms once the
+    malicious run breaks.
     """
     cfg = state.cfg
     if isinstance(row, SampleRow):
         advance_clock(state, row)
         if prob is None:
-            if predictor is None:
-                raise ValueError("need a predictor or an explicit probability for SampleRow")
-            prob = predictor.push(row)
+            raise ValueError("a SampleRow needs an explicit probability")
     else:
         prob = float(row)
 

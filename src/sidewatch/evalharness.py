@@ -27,6 +27,7 @@ from .detector import (
     time_to_detect,
 )
 from .errors import (
+    BadShapeError,
     EmptyPopulationError,
     InsufficientStratumError,
     NoSequencesError,
@@ -35,6 +36,7 @@ from .featurize import chunk_sequences
 from .models import (
     ModelArtifact,
     RNN_FAMILIES,
+    RNN_VARIANTS,
     ROW_FAMILIES,
     TrainConfig,
     build_autoencoder,
@@ -44,6 +46,7 @@ from .models import (
     predict_rows,
     predict_sequences,
     train_model,
+    training_data,
 )
 from .telemetry import Manifest, Trace
 
@@ -271,7 +274,7 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
     if artifact.family in RNN_FAMILIES:
         L = artifact.sequence_length
         if L is None:
-            raise ValueError("sequence model has no configured length (untrained?)")
+            raise BadShapeError("sequence model has no configured length (untrained?)")
         seq_conf = ConfusionCounts("sequence")
         file_conf = ConfusionCounts("file")
         files = []
@@ -295,7 +298,7 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
             files=files,
             files_evaluated=len(files),
         )
-    raise ValueError(f"{artifact.family} cannot be evaluated against traces")
+    raise BadShapeError(f"{artifact.family} cannot be evaluated against traces")
 
 
 # --- sweeps --------------------------------------------------------------------
@@ -330,8 +333,11 @@ def sweep_encoding_dims(
 ) -> dict[str, list[tuple[int, float]]]:
     """Train an autoencoder per bottleneck dim, re-train each downstream
     family on the encoded corpus, and report file accuracy per (family, d)."""
+    unknown = [fam for fam in families if fam not in ROW_FAMILIES]
+    if unknown:
+        raise ValueError(f"encoding sweep supports row families, not {unknown}")
     curves: dict[str, list[tuple[int, float]]] = {fam: [] for fam in families}
-    train_rows = np.vstack([t.features for t in train_traces])
+    train_rows = training_data("autoencoder", train_traces)
     for point, d in enumerate(dims):
         point_seed = seed + point
         ae = build_autoencoder(train_traces[0].num_features, d, seed=point_seed)
@@ -340,16 +346,11 @@ def sweep_encoding_dims(
             fam_seed = point_seed + 1000
             if fam == "mlp":
                 model = build_mlp(d, hidden=mlp_hidden, seed=fam_seed)
-                model.encoder = ae
-                labels = np.concatenate([t.labels for t in train_traces])
-                raw_rows = np.vstack([t.features for t in train_traces])
-                train_model(model, (raw_rows, labels), replace(clf_config, seed=fam_seed))
-            elif fam == "conv_multibranch":
-                model = build_conv_multibranch(d, seed=fam_seed, **(conv_kwargs or {}))
-                model.encoder = ae
-                train_model(model, train_traces, replace(clf_config, seed=fam_seed))
             else:
-                raise ValueError(f"encoding sweep supports row families, not {fam!r}")
+                model = build_conv_multibranch(d, seed=fam_seed, **(conv_kwargs or {}))
+            model.encoder = ae
+            train_model(model, training_data(fam, train_traces),
+                        replace(clf_config, seed=fam_seed))
             section = evaluate_model(model, test_traces, cfg, label=f"{fam}+ae{d}")
             curves[fam].append((int(d), section.file_metrics.accuracy))
     return curves
@@ -377,6 +378,9 @@ def sweep_sequence_length(
     Files shorter than a length contribute nothing to it; a length no
     train file reaches raises NoSequences.
     """
+    unknown = [v for v in variants if v not in RNN_VARIANTS]
+    if unknown:
+        raise ValueError(f"unknown rnn variants {unknown}")
     results = []
     F = train_traces[0].num_features
     for point, L in enumerate(lengths):
@@ -386,7 +390,7 @@ def sweep_sequence_length(
         test_batch = chunk_sequences(test_traces, L)
         accs: dict[str, float] = {}
         for variant in variants:
-            cell, bi = _variant_parts(variant)
+            cell, bi = RNN_VARIANTS[variant]
             model = build_rnn(F, cell=cell, bidirectional=bi, hidden=hidden,
                               seed=seed + point)
             train_model(model, train_batch, replace(train_config, seed=seed + point))
@@ -398,19 +402,6 @@ def sweep_sequence_length(
                 accs[variant] = float("nan")
         results.append(SeqLenResult(int(L), int(train_batch.num_sequences), accs))
     return results
-
-
-def _variant_parts(variant: str) -> tuple[str, bool]:
-    mapping = {
-        "rnn_vanilla": ("vanilla", False),
-        "rnn_lstm": ("lstm", False),
-        "rnn_lstm_bi": ("lstm", True),
-        "rnn_gru": ("gru", False),
-        "rnn_gru_bi": ("gru", True),
-    }
-    if variant not in mapping:
-        raise ValueError(f"unknown rnn variant {variant!r}")
-    return mapping[variant]
 
 
 # --- report --------------------------------------------------------------------

@@ -100,7 +100,6 @@ class BranchSet:
     down_long: np.ndarray     # [T // long_factor, F]
     mid_factor: int
     long_factor: int
-    sample_period_s: float
 
     @property
     def num_rows(self) -> int:
@@ -133,7 +132,6 @@ def make_branch_set(rows: np.ndarray, sample_period_s: float) -> BranchSet:
         down_long=downsample(rows, f_long),
         mid_factor=f_mid,
         long_factor=f_long,
-        sample_period_s=sample_period_s,
     )
 
 

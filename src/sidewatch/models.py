@@ -15,6 +15,13 @@ training data (training rows only; stored in the artifact). A model with
 an attached encoder first maps rows through the encoder, then normalizes
 the codes with its own statistics.
 
+Everything that differs between families sits in one table (_FAMILY_TABLE,
+with RNN_VARIANTS naming the recurrent cells): the network constructor,
+the closed-form parameter count, the batch source that turns train_model
+data into minibatches, the train_model data built from a list of traces,
+and the live predictor. Every family trains through one epoch loop
+(_fit).
+
 Per-row conv prediction slides the causal lookback windows over the
 branch views. The implementation computes each branch's convolution once
 over a front-padded series and takes sliding-window maxima, which is
@@ -30,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +56,7 @@ from .featurize import (
     BranchSet,
     NormStats,
     SequenceBatch,
+    chunk_sequences,
     make_branch_set,
     make_row_windows,
     zscore_apply,
@@ -71,9 +80,14 @@ from .nn.layers import activate
 from .nn.recurrent import make_cell
 from .telemetry import DEFAULT_SAMPLE_PERIOD_S, Trace
 
-ROW_FAMILIES = ("mlp", "conv_multibranch")
-RNN_FAMILIES = ("rnn_vanilla", "rnn_lstm", "rnn_lstm_bi", "rnn_gru", "rnn_gru_bi")
-FAMILIES = ROW_FAMILIES + ("autoencoder",) + RNN_FAMILIES
+# The five recurrent families: family name -> (cell, bidirectional).
+RNN_VARIANTS = {
+    "rnn_vanilla": ("vanilla", False),
+    "rnn_lstm": ("lstm", False),
+    "rnn_lstm_bi": ("lstm", True),
+    "rnn_gru": ("gru", False),
+    "rnn_gru_bi": ("gru", True),
+}
 
 RNN_HIDDEN = (16, 32, 32, 16)
 
@@ -155,15 +169,29 @@ def describe_network(network) -> list[dict]:
 # --- builders ---------------------------------------------------------------
 
 
-def _mlp_network(F: int, hidden: tuple[int, ...], seed: int) -> Sequential:
+def _new_artifact(family: str, F: int, hyper: dict, seed: int, **fields) -> ModelArtifact:
+    network = _FAMILY_TABLE[family].network(F, hyper, seed)
+    return ModelArtifact(family=family, input_dim=F, hyper=hyper, network=network,
+                         seed=seed, **fields)
+
+
+def _mlp_network(F: int, hyper: dict, seed: int) -> Sequential:
     rng = np.random.default_rng(seed)
     layers = []
     prev = F
-    for h in hidden:
+    for h in hyper["hidden"]:
         layers.append(Dense(prev, h, "tanh", rng=rng))
         prev = h
     layers.append(Dense(prev, 1, "sigmoid", rng=rng))
     return Sequential(layers)
+
+
+def _mlp_param_count(F: int, hyper: dict) -> int:
+    total, prev = 0, F
+    for h in list(hyper["hidden"]) + [1]:
+        total += prev * h + h
+        prev = h
+    return total
 
 
 def build_mlp(F: int, hidden: tuple[int, ...] = (100,), seed: int = 0) -> ModelArtifact:
@@ -174,13 +202,7 @@ def build_mlp(F: int, hidden: tuple[int, ...] = (100,), seed: int = 0) -> ModelA
     """
     if F < 1 or any(h < 1 for h in hidden):
         raise BadShapeError(f"bad mlp dims F={F} hidden={hidden}")
-    return ModelArtifact(
-        family="mlp",
-        input_dim=F,
-        hyper={"hidden": list(hidden)},
-        network=_mlp_network(F, tuple(hidden), seed),
-        seed=seed,
-    )
+    return _new_artifact("mlp", F, {"hidden": list(hidden)}, seed)
 
 
 def _conv_network(F: int, hyper: dict, seed: int) -> MultiBranch:
@@ -199,6 +221,13 @@ def _conv_network(F: int, hyper: dict, seed: int) -> MultiBranch:
         Dense(hyper["dense_units"], 1, "sigmoid", rng=rng),
     ])
     return MultiBranch(branches, head)
+
+
+def _conv_param_count(F: int, hyper: dict) -> int:
+    k, nf, du = hyper["kernel"], hyper["filters"], hyper["dense_units"]
+    per_branch = k * F * nf + nf
+    head = 5 * nf * du + du + du * 1 + 1
+    return 5 * per_branch + head
 
 
 def build_conv_multibranch(
@@ -233,45 +262,28 @@ def build_conv_multibranch(
         "l2": l2,
         "activity_l2": activity_l2,
     }
-    return ModelArtifact(
-        family="conv_multibranch",
-        input_dim=F,
-        hyper=hyper,
-        network=_conv_network(F, hyper, seed),
-        window=window,
-        seed=seed,
-    )
+    return _new_artifact("conv_multibranch", F, hyper, seed, window=window)
 
 
-def _autoencoder_network(F: int, d: int, seed: int) -> Sequential:
+def _autoencoder_network(F: int, hyper: dict, seed: int) -> Sequential:
     rng = np.random.default_rng(seed)
+    d = hyper["bottleneck"]
     return Sequential([
         Dense(F, d, "tanh", rng=rng),
         Dense(d, F, "linear", rng=rng),
     ])
 
 
+def _autoencoder_param_count(F: int, hyper: dict) -> int:
+    d = hyper["bottleneck"]
+    return F * d + d + d * F + F
+
+
 def build_autoencoder(F: int, d: int, seed: int = 0) -> ModelArtifact:
     """Dense tanh encoder to d dimensions plus a linear decoder."""
     if not 1 <= d < F:
         raise BadShapeError(f"bottleneck must satisfy 1 <= d < F, got d={d}, F={F}")
-    return ModelArtifact(
-        family="autoencoder",
-        input_dim=F,
-        hyper={"bottleneck": d},
-        network=_autoencoder_network(F, d, seed),
-        seed=seed,
-    )
-
-
-def _rnn_family(cell: str, bidirectional: bool) -> str:
-    if cell == "vanilla":
-        if bidirectional:
-            raise BadShapeError("bidirectional vanilla RNN is not one of the five variants")
-        return "rnn_vanilla"
-    if cell in ("lstm", "gru"):
-        return f"rnn_{cell}_bi" if bidirectional else f"rnn_{cell}"
-    raise BadShapeError(f"unknown recurrent cell {cell!r}")
+    return _new_artifact("autoencoder", F, {"bottleneck": d}, seed)
 
 
 def _rnn_network(F: int, hyper: dict, seed: int) -> Sequential:
@@ -293,6 +305,16 @@ def _rnn_network(F: int, hyper: dict, seed: int) -> Sequential:
     return Sequential(layers)
 
 
+def _rnn_param_count(F: int, hyper: dict) -> int:
+    mult = {"vanilla": 1, "lstm": 4, "gru": 3}[hyper["cell"]]
+    directions = 2 if hyper["bidirectional"] else 1
+    total, prev = 0, F
+    for h in hyper["hidden"]:
+        total += directions * mult * (prev * h + h * h + h)
+        prev = directions * h
+    return total + prev + 1
+
+
 def build_rnn(
     F: int,
     cell: str = "vanilla",
@@ -304,54 +326,18 @@ def build_rnn(
     state at the top, 1-unit sigmoid head."""
     if F < 1 or any(h < 1 for h in hidden):
         raise BadShapeError(f"bad rnn dims F={F} hidden={hidden}")
-    family = _rnn_family(cell, bidirectional)
+    family = next((name for name, parts in RNN_VARIANTS.items()
+                   if parts == (cell, bidirectional)), None)
+    if family is None:
+        raise BadShapeError(f"cell {cell!r} with bidirectional={bidirectional} "
+                            "is not one of the five recurrent variants")
     hyper = {"cell": cell, "bidirectional": bidirectional, "hidden": list(hidden)}
-    return ModelArtifact(
-        family=family,
-        input_dim=F,
-        hyper=hyper,
-        network=_rnn_network(F, hyper, seed),
-        seed=seed,
-    )
-
-
-def _build_network(family: str, F: int, hyper: dict, seed: int):
-    if family == "mlp":
-        return _mlp_network(F, tuple(hyper["hidden"]), seed)
-    if family == "conv_multibranch":
-        return _conv_network(F, hyper, seed)
-    if family == "autoencoder":
-        return _autoencoder_network(F, hyper["bottleneck"], seed)
-    if family in RNN_FAMILIES:
-        return _rnn_network(F, hyper, seed)
-    raise BadShapeError(f"unknown family {family!r}")
+    return _new_artifact(family, F, hyper, seed)
 
 
 def expected_param_count(family: str, F: int, hyper: dict) -> int:
     """Closed-form parameter count (documents what param_count reports)."""
-    if family == "mlp":
-        total, prev = 0, F
-        for h in list(hyper["hidden"]) + [1]:
-            total += prev * h + h
-            prev = h
-        return total
-    if family == "conv_multibranch":
-        k, nf, du = hyper["kernel"], hyper["filters"], hyper["dense_units"]
-        per_branch = k * F * nf + nf
-        head = 5 * nf * du + du + du * 1 + 1
-        return 5 * per_branch + head
-    if family == "autoencoder":
-        d = hyper["bottleneck"]
-        return F * d + d + d * F + F
-    if family in RNN_FAMILIES:
-        mult = {"vanilla": 1, "lstm": 4, "gru": 3}[hyper["cell"]]
-        directions = 2 if hyper["bidirectional"] else 1
-        total, prev = 0, F
-        for h in hyper["hidden"]:
-            total += directions * mult * (prev * h + h * h + h)
-            prev = directions * h
-        return total + prev + 1
-    raise BadShapeError(f"unknown family {family!r}")
+    return _family(family).param_count(F, hyper)
 
 
 # --- training ----------------------------------------------------------------
@@ -400,50 +386,72 @@ def write_training_log(log: list[TrainLogEntry], path: str | Path) -> None:
             fh.write(f"{e.epoch}\t{e.train_loss!r}\t{val}\t{e.learning_rate!r}\n")
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
+class _Batches(NamedTuple):
+    """A family's training data as the epoch loop sees it."""
+
+    count: int         # units the split permutes
+    unit: str          # their name ("rows", "traces" or "sequences"), for errors
+    loss: str          # loss kind for evaluate_loss
+    train: Callable    # (unit order, rng) -> iterator of (inputs, targets) minibatches
+    val: Callable      # (unit indices) -> list of fixed (inputs, targets) batches
 
 
-def _restore(params: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
-    for k, v in params.items():
-        v[...] = saved[k]
+def _fit(artifact: ModelArtifact, batches: _Batches, config: TrainConfig):
+    """The epoch loop every family trains through.
 
+    It draws from one seed-``config.seed`` generator in a fixed order: the
+    train/validation split, then per epoch the unit order, then per
+    minibatch whatever the batch source draws followed by the dropout
+    draws. Each epoch feeds the plateau schedule and early stopping; with
+    a validation split the best-validation parameters are restored at the
+    end.
+    """
+    rng = np.random.default_rng(config.seed)
+    perm = rng.permutation(batches.count)
+    n_val = int(batches.count * config.validation_fraction)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    if train_idx.size == 0:
+        raise NoDataError(f"validation fraction leaves no training {batches.unit}")
+    val_sets = batches.val(val_idx) if n_val else []
 
-class _EpochDriver:
-    """Shared epoch loop: plateau schedule, early stop, best-param restore."""
-
-    def __init__(self, net, config: TrainConfig, monitor_val: bool):
-        self.net = net
-        self.config = config
-        self.optimizer = make_optimizer(config.optimizer)
-        self.scheduler = PlateauScheduler(self.optimizer, config.optimizer)
-        self.monitor_val = monitor_val
-        self.log: list[TrainLogEntry] = []
-        self.best = math.inf
-        self.best_params: dict[str, np.ndarray] | None = None
-        self.stalled = 0
-        self.stop = False
-
-    def end_epoch(self, epoch: int, train_loss: float, val_loss: float | None) -> None:
+    net = artifact.network
+    optimizer = make_optimizer(config.optimizer)
+    scheduler = PlateauScheduler(optimizer, config.optimizer)
+    log: list[TrainLogEntry] = []
+    best, best_params, stalled = math.inf, None, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = train_idx[rng.permutation(train_idx.size)]
+        losses = []
+        for xs, targets in batches.train(order, rng):
+            loss, grads = evaluate_loss(net, xs, targets, batches.loss, mode="train", rng=rng)
+            optimizer.step(net.params(), grads)
+            losses.append(loss)
+        train_loss = float(np.mean(losses))
         if not math.isfinite(train_loss):
             raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
-        monitored = val_loss if (self.monitor_val and val_loss is not None) else train_loss
-        self.scheduler.observe(monitored)
-        self.log.append(TrainLogEntry(epoch, train_loss, val_loss, self.optimizer.lr))
-        if monitored < self.best - self.config.early_stop_tol:
-            self.best = monitored
-            self.stalled = 0
-            if self.monitor_val:
-                self.best_params = _snapshot(self.net.params())
+        val_loss = None
+        if val_sets:
+            val_loss = float(np.mean([
+                evaluate_loss(net, xs, targets, batches.loss, mode="infer",
+                              with_grads=False)[0]
+                for xs, targets in val_sets]))
+        monitored = train_loss if val_loss is None else val_loss
+        scheduler.observe(monitored)
+        log.append(TrainLogEntry(epoch, train_loss, val_loss, optimizer.lr))
+        if monitored < best - config.early_stop_tol:
+            best, stalled = monitored, 0
+            if val_sets:
+                best_params = {k: v.copy() for k, v in net.params().items()}
         else:
-            self.stalled += 1
-            patience = self.config.early_stop_patience
-            if patience is not None and self.stalled >= patience:
-                self.stop = True
-
-    def finish(self) -> None:
-        if self.monitor_val and self.best_params is not None:
-            _restore(self.net.params(), self.best_params)
+            stalled += 1
+            patience = config.early_stop_patience
+            if patience is not None and stalled >= patience:
+                break
+    if best_params is not None:
+        for k, v in net.params().items():
+            v[...] = best_params[k]
+    artifact.epochs_trained = log[-1].epoch
+    return artifact, log
 
 
 def _fit_norm_if_missing(artifact: ModelArtifact, rows: np.ndarray) -> None:
@@ -460,7 +468,19 @@ def _model_rows(artifact: ModelArtifact, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _train_rows(artifact: ModelArtifact, X, y, config: TrainConfig, loss_kind: str):
+def _array_batches(X: np.ndarray, targets: np.ndarray, config: TrainConfig,
+                   unit: str, loss: str) -> _Batches:
+    """Minibatches of config.batch_size units; validation is one batch."""
+    def train(order, rng):
+        for lo in range(0, order.size, config.batch_size):
+            sel = order[lo : lo + config.batch_size]
+            yield X[sel], targets[sel]
+
+    return _Batches(X.shape[0], unit, loss, train, lambda idx: [(X[idx], targets[idx])])
+
+
+def _row_batches(artifact: ModelArtifact, X, y, config: TrainConfig, loss: str) -> _Batches:
+    """Single-row units; y=None makes the rows their own targets."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise NoDataError(f"need a nonempty [N, F] row matrix, got shape {X.shape}")
@@ -471,37 +491,22 @@ def _train_rows(artifact: ModelArtifact, X, y, config: TrainConfig, loss_kind: s
     _fit_norm_if_missing(artifact, X)
     X = zscore_apply(artifact.norm, X)
     targets = X if y is None else np.asarray(y, dtype=np.float64)
+    return _array_batches(X, targets, config, "rows", loss)
 
-    rng = np.random.default_rng(config.seed)
-    N = X.shape[0]
-    perm = rng.permutation(N)
-    n_val = int(N * config.validation_fraction)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size == 0:
-        raise NoDataError("validation fraction leaves no training rows")
 
-    driver = _EpochDriver(artifact.network, config, monitor_val=n_val > 0)
-    net = artifact.network
-    for epoch in range(1, config.max_epochs + 1):
-        order = train_idx[rng.permutation(train_idx.size)]
-        losses = []
-        for lo in range(0, order.size, config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            tb = targets[batch] if y is not None else X[batch]
-            loss, grads = evaluate_loss(net, X[batch], tb, loss_kind, mode="train", rng=rng)
-            driver.optimizer.step(net.params(), grads)
-            losses.append(loss)
-        val_loss = None
-        if n_val:
-            tv = targets[val_idx] if y is not None else X[val_idx]
-            val_loss, _ = evaluate_loss(net, X[val_idx], tv, loss_kind, mode="infer",
-                                        with_grads=False)
-        driver.end_epoch(epoch, float(np.mean(losses)), val_loss)
-        if driver.stop:
-            break
-    driver.finish()
-    artifact.epochs_trained = driver.log[-1].epoch
-    return artifact, driver.log
+def _sequence_batches(artifact: ModelArtifact, batch: SequenceBatch,
+                      config: TrainConfig) -> _Batches:
+    if batch.num_sequences == 0:
+        raise NoDataError("no training sequences")
+    N, L, F = batch.sequences.shape
+    if artifact.encoder is not None:
+        raise ShapeMismatchError("recurrent models do not take an encoder front-end")
+    if F != artifact.input_dim:
+        raise ShapeMismatchError(f"model expects {artifact.input_dim} features, got {F}")
+    _fit_norm_if_missing(artifact, batch.sequences.reshape(N * L, F))
+    artifact.sequence_length = L
+    return _array_batches(zscore_apply(artifact.norm, batch.sequences),
+                          batch.labels.astype(np.float64), config, "sequences", "bce")
 
 
 def _sample_training_rows(labels: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -532,7 +537,8 @@ def _window_batch(branches: BranchSet, rows: np.ndarray, window: WindowConfig) -
     return [np.stack([w[s] for w in wins]) for s in range(5)]
 
 
-def _train_conv(artifact: ModelArtifact, traces: list[Trace], config: TrainConfig):
+def _conv_batches(artifact: ModelArtifact, traces: list[Trace], config: TrainConfig) -> _Batches:
+    """One minibatch per trace: config.rows_per_trace sampled rows' windows."""
     if not traces:
         raise NoDataError("no training traces")
     all_rows = np.vstack([t.features for t in traces])
@@ -543,95 +549,19 @@ def _train_conv(artifact: ModelArtifact, traces: list[Trace], config: TrainConfi
             f"model expects {artifact.input_dim} features, got {all_rows.shape[1]}"
         )
     _fit_norm_if_missing(artifact, all_rows)
+    prepared = [(make_branch_set(_model_rows(artifact, t.features), t.meta.sample_period_s),
+                 t.labels) for t in traces]
 
-    prepared = []
-    for t in traces:
-        rows = _model_rows(artifact, t.features)
-        prepared.append((make_branch_set(rows, t.meta.sample_period_s), t.labels))
-
-    rng = np.random.default_rng(config.seed)
-    n = len(prepared)
-    perm = rng.permutation(n)
-    n_val = int(n * config.validation_fraction)
-    val_i, train_i = perm[:n_val], perm[n_val:]
-    if train_i.size == 0:
-        raise NoDataError("validation fraction leaves no training traces")
-
-    # Fixed validation windows so the monitored loss is comparable across epochs.
-    val_sets = []
-    val_rng = np.random.default_rng(config.seed + 1)
-    for ti in val_i:
-        branches, labels = prepared[ti]
-        rows = _sample_training_rows(labels, config.rows_per_trace, val_rng)
-        val_sets.append((_window_batch(branches, rows, artifact.window), labels[rows]))
-
-    driver = _EpochDriver(artifact.network, config, monitor_val=n_val > 0)
-    net = artifact.network
-    for epoch in range(1, config.max_epochs + 1):
-        order = train_i[rng.permutation(train_i.size)]
-        losses = []
+    def train(order, rng):
         for ti in order:
             branches, labels = prepared[ti]
             rows = _sample_training_rows(labels, config.rows_per_trace, rng)
-            xs = _window_batch(branches, rows, artifact.window)
-            loss, grads = evaluate_loss(net, xs, labels[rows].astype(np.float64),
-                                        "bce", mode="train", rng=rng)
-            driver.optimizer.step(net.params(), grads)
-            losses.append(loss)
-        val_loss = None
-        if val_sets:
-            vals = [evaluate_loss(net, xs, yb.astype(np.float64), "bce", mode="infer",
-                                  with_grads=False)[0] for xs, yb in val_sets]
-            val_loss = float(np.mean(vals))
-        driver.end_epoch(epoch, float(np.mean(losses)), val_loss)
-        if driver.stop:
-            break
-    driver.finish()
-    artifact.epochs_trained = driver.log[-1].epoch
-    return artifact, driver.log
+            yield _window_batch(branches, rows, artifact.window), labels[rows].astype(np.float64)
 
-
-def _train_rnn(artifact: ModelArtifact, batch: SequenceBatch, config: TrainConfig):
-    if batch.num_sequences == 0:
-        raise NoDataError("no training sequences")
-    N, L, F = batch.sequences.shape
-    flat = batch.sequences.reshape(N * L, F)
-    if artifact.encoder is not None:
-        raise ShapeMismatchError("recurrent models do not take an encoder front-end")
-    if F != artifact.input_dim:
-        raise ShapeMismatchError(f"model expects {artifact.input_dim} features, got {F}")
-    _fit_norm_if_missing(artifact, flat)
-    X = zscore_apply(artifact.norm, batch.sequences)
-    y = batch.labels.astype(np.float64)
-    artifact.sequence_length = L
-
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(N)
-    n_val = int(N * config.validation_fraction)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size == 0:
-        raise NoDataError("validation fraction leaves no training sequences")
-
-    driver = _EpochDriver(artifact.network, config, monitor_val=n_val > 0)
-    net = artifact.network
-    for epoch in range(1, config.max_epochs + 1):
-        order = train_idx[rng.permutation(train_idx.size)]
-        losses = []
-        for lo in range(0, order.size, config.batch_size):
-            sel = order[lo : lo + config.batch_size]
-            loss, grads = evaluate_loss(net, X[sel], y[sel], "bce", mode="train", rng=rng)
-            driver.optimizer.step(net.params(), grads)
-            losses.append(loss)
-        val_loss = None
-        if n_val:
-            val_loss, _ = evaluate_loss(net, X[val_idx], y[val_idx], "bce", mode="infer",
-                                        with_grads=False)
-        driver.end_epoch(epoch, float(np.mean(losses)), val_loss)
-        if driver.stop:
-            break
-    driver.finish()
-    artifact.epochs_trained = driver.log[-1].epoch
-    return artifact, driver.log
+    # Validation rows come from their own generator, drawn once, so the
+    # monitored loss is comparable across epochs.
+    return _Batches(len(prepared), "traces", "bce", train,
+                    lambda idx: list(train(idx, np.random.default_rng(config.seed + 1))))
 
 
 def train_model(artifact: ModelArtifact, data, config: TrainConfig):
@@ -639,21 +569,13 @@ def train_model(artifact: ModelArtifact, data, config: TrainConfig):
 
     Data forms by family: mlp takes (rows, labels); autoencoder takes
     rows (it targets its own input); conv_multibranch takes a list of
-    labeled traces; the recurrent families take a SequenceBatch. Epoch
-    order is seed-shuffled; with a validation fraction the best-validation
+    labeled traces; the recurrent families take a SequenceBatch
+    (training_data builds each from traces). Epoch order is
+    seed-shuffled; with a validation fraction the best-validation
     parameters are restored at the end.
     """
-    family = artifact.family
-    if family == "mlp":
-        X, y = data
-        return _train_rows(artifact, X, y, config, "bce")
-    if family == "autoencoder":
-        return _train_rows(artifact, data, None, config, "mse")
-    if family == "conv_multibranch":
-        return _train_conv(artifact, data, config)
-    if family in RNN_FAMILIES:
-        return _train_rnn(artifact, data, config)
-    raise BadShapeError(f"unknown family {family!r}")
+    batches = _family(artifact.family).batches(artifact, data, config)
+    return _fit(artifact, batches, config)
 
 
 # --- prediction ---------------------------------------------------------------
@@ -782,18 +704,6 @@ def encode_rows(encoder: ModelArtifact, rows: np.ndarray) -> np.ndarray:
         rows = zscore_apply(encoder.norm, rows)
     codes, _ = encoder.network.layers[0].forward(rows, mode="infer")
     return codes
-
-
-def encode_dataset(encoder: ModelArtifact, traces: list[Trace]) -> list[Trace]:
-    """Traces with features replaced by their d-dimensional codes."""
-    out = []
-    d = encoder.hyper["bottleneck"]
-    header = [f"enc{i}" for i in range(d)]
-    for t in traces:
-        codes = encode_rows(encoder, t.features)
-        out.append(Trace(meta=t.meta, header=list(header), times=t.times.copy(),
-                         features=codes, labels=t.labels.copy()))
-    return out
 
 
 # --- streaming predictors ---------------------------------------------------------
@@ -950,6 +860,68 @@ class SequenceStreamPredictor:
         return float(predict_sequences(self.artifact, batch)[0])
 
 
+# --- the family table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What differs between model families; the rest of the module is shared."""
+
+    network: Callable       # (F, hyper, seed) -> freshly initialized network
+    param_count: Callable   # (F, hyper) -> closed-form parameter count
+    batches: Callable       # (artifact, train_model data, config) -> _Batches
+    train_data: Callable    # (traces, sequence length) -> train_model data
+    stream: type | None     # live predictor; None for a family that cannot stream rows
+
+
+def _stacked_rows(traces: list[Trace], sequence_length=None) -> np.ndarray:
+    return np.vstack([t.features for t in traces])
+
+
+_RNN = _Family(_rnn_network, _rnn_param_count, _sequence_batches, chunk_sequences,
+               SequenceStreamPredictor)
+
+_FAMILY_TABLE = {
+    "mlp": _Family(
+        _mlp_network, _mlp_param_count,
+        lambda artifact, data, config: _row_batches(artifact, *data, config, "bce"),
+        lambda traces, L: (_stacked_rows(traces), np.concatenate([t.labels for t in traces])),
+        RowStreamPredictor),
+    "conv_multibranch": _Family(
+        _conv_network, _conv_param_count, _conv_batches, lambda traces, L: traces,
+        RowStreamPredictor),
+    "autoencoder": _Family(
+        _autoencoder_network, _autoencoder_param_count,
+        lambda artifact, rows, config: _row_batches(artifact, rows, None, config, "mse"),
+        _stacked_rows, None),
+    **dict.fromkeys(RNN_VARIANTS, _RNN),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+ROW_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].stream is RowStreamPredictor)
+RNN_FAMILIES = tuple(RNN_VARIANTS)
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILY_TABLE:
+        raise BadShapeError(f"unknown family {name!r}")
+    return _FAMILY_TABLE[name]
+
+
+def training_data(family: str, traces: list[Trace], sequence_length: int | None = None):
+    """The train_model data of *family* built from labeled traces; the
+    recurrent families chunk them into *sequence_length* rows."""
+    return _family(family).train_data(traces, sequence_length)
+
+
+def stream_predictor(artifact: ModelArtifact):
+    """The live predictor (push one row at a time) for the artifact's family."""
+    stream = _family(artifact.family).stream
+    if stream is None:
+        raise BadShapeError(f"{artifact.family} cannot stream rows")
+    return stream(artifact)
+
+
 # --- persistence ----------------------------------------------------------------
 
 
@@ -995,20 +967,15 @@ def _artifact_from_doc(doc: dict) -> ModelArtifact:
     family = doc["family"]
     if family not in FAMILIES:
         raise CorruptArtifactError(f"unknown family {family!r}")
-    network = _build_network(family, doc["input_dim"], doc["hyper"], doc["seed"])
-    artifact = ModelArtifact(
-        family=family,
-        input_dim=doc["input_dim"],
-        hyper=doc["hyper"],
-        network=network,
+    artifact = _new_artifact(
+        family, doc["input_dim"], doc["hyper"], doc["seed"],
         norm=_norm_from_doc(doc["norm"]),
         window=None if doc["window"] is None else WindowConfig(**doc["window"]),
         sequence_length=doc["sequence_length"],
         encoder=None if doc["encoder"] is None else _artifact_from_doc(doc["encoder"]),
-        seed=doc["seed"],
         epochs_trained=doc["epochs_trained"],
     )
-    params = network.params()
+    params = artifact.network.params()
     stored = doc["params"]
     if set(stored) != set(params):
         raise CorruptArtifactError("parameter names do not match the architecture")

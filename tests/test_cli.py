@@ -144,6 +144,25 @@ class TestTrainEval:
                        "--model", "irrelevant.json", "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("family,message", [
+        ("autoencoder", "autoencoder cannot be evaluated against traces"),
+        ("rnn_gru", "sequence model has no configured length"),
+    ])
+    def test_unevaluable_artifact_is_data_error(self, cli_corpus, tmp_path, capsys,
+                                                family, message):
+        root, corpus, _ = cli_corpus
+        if family == "autoencoder":
+            artifact = models.build_autoencoder(8, 3, seed=0)
+        else:
+            artifact = models.build_rnn(8, cell="gru", seed=0)  # no sequence length
+        path = tmp_path / f"{family}.json"
+        models.save_model(artifact, path)
+        rc = cli.main(["eval", "--corpus", str(corpus), "--model", str(path),
+                       "--out", str(tmp_path / "e")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_train_config_file_defaults(self, cli_corpus, tmp_path):
         root, corpus, _ = cli_corpus
         cfg = tmp_path / "train.json"
@@ -219,6 +238,28 @@ class TestSweepCommand:
         assert rc == EXIT_OK
         lines = (out / "threshold_sweep.txt").read_text().splitlines()
         assert len(lines) == 41  # header + 40
+
+
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("seqlen", "variants", "rnn_gru,rnn_foo"),
+        ("encoding", "families", "mlp,rnn_gru"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_unknown_sweep_name_is_usage_error(self, tmp_path, capsys, kind, flag,
+                                               value, route):
+        # The corpus does not exist: the name must be refused before it loads.
+        argv = ["sweep", kind, "--corpus", str(tmp_path / "absent")]
+        if route == "flag":
+            argv += [f"--{flag}", value]
+        else:
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps({flag: value.split(",")}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == EXIT_USAGE
+        bad = value.split(",")[1]
+        assert repr(bad) in capsys.readouterr().err
 
 
 class TestDetect:
@@ -347,6 +388,13 @@ class TestDetect:
             argv += ["--checkpoint", str(ckpt)]
         assert cli.main(argv) == EXIT_DATA
         assert "t=24.0 after t=24.5" in capsys.readouterr().err
+
+    def test_autoencoder_cannot_stream_rows(self, tmp_path, capsys):
+        path = tmp_path / "ae.json"
+        models.save_model(models.build_autoencoder(8, 3, seed=0), path)
+        rc = cli.main(["detect", "--model", str(path), "--source", str(tmp_path / "unread.csv")])
+        assert rc == EXIT_DATA
+        assert "autoencoder cannot stream rows" in capsys.readouterr().err
 
     def test_follow_waits_for_the_newline(self, tmp_path, monkeypatch):
         path = tmp_path / "live.csv"

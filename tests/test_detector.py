@@ -173,6 +173,11 @@ class TestStream:
             stream_step(state, SampleRow(t=1.0, features=np.zeros(2), label=0),
                         prob=0.1)
 
+    def test_sample_row_needs_a_probability(self):
+        state = StreamState(cfg=DetectorConfig())
+        with pytest.raises(ValueError, match="probability"):
+            stream_step(state, SampleRow(t=1.0, features=np.zeros(2), label=0))
+
     def test_reset_rearms_latched_state(self):
         cfg = DetectorConfig(consec_threshold=1)
         state = StreamState(cfg=cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -26,7 +27,6 @@ from sidewatch.models import (
     build_conv_multibranch,
     build_mlp,
     build_rnn,
-    encode_dataset,
     encode_rows,
     expected_param_count,
     load_model,
@@ -259,6 +259,86 @@ class TestTraining:
         assert final[3] < final[1]
 
 
+def _tiny_family_case(family):
+    """A fresh-model factory and train_model data for *family* on tiny shapes.
+
+    The labels are unrelated to the random features, so the validation
+    loss stops improving within a few epochs.
+    """
+    rng = np.random.default_rng(40)
+    traces = [random_trace(rng, T=48, F=3, category="worm" if i % 2 else "benign",
+                           onset_row=20 if i % 2 else None) for i in range(6)]
+    rows = np.vstack([t.features for t in traces])
+    if family == "mlp":
+        return (lambda: build_mlp(3, hidden=(4,), seed=0),
+                (rows, np.concatenate([t.labels for t in traces])), "rows")
+    if family == "autoencoder":
+        return lambda: build_autoencoder(3, 2, seed=0), rows, "rows"
+    if family == "conv_multibranch":
+        return (lambda: build_conv_multibranch(3, filters=2, kernel=3, dense_units=3,
+                                               window=WindowConfig(6, 4), seed=0),
+                traces, "traces")
+    cell, bidirectional = {"rnn_gru": ("gru", False), "rnn_lstm_bi": ("lstm", True)}[family]
+    return (lambda: build_rnn(3, cell=cell, bidirectional=bidirectional, hidden=(3,), seed=0),
+            featurize.chunk_sequences(traces, 8), "sequences")
+
+
+def _last_improving_epoch(log, tol: float) -> int:
+    """The last epoch whose monitored loss beat the best so far by more than tol."""
+    best, last = np.inf, 0
+    for e in log:
+        monitored = e.train_loss if e.val_loss is None else e.val_loss
+        if monitored < best - tol:
+            best, last = monitored, e.epoch
+    return last
+
+
+@pytest.mark.parametrize("family", ["mlp", "autoencoder", "conv_multibranch",
+                                    "rnn_gru", "rnn_lstm_bi"])
+class TestFitContract:
+    """What the epoch loop promises every family."""
+
+    @staticmethod
+    def _config(**overrides):
+        kwargs = dict(max_epochs=12, seed=1, batch_size=16, rows_per_trace=8,
+                      optimizer=OptimizerSpec(learning_rate=0.1))
+        kwargs.update(overrides)
+        return TrainConfig(**kwargs)
+
+    def test_validation_restores_last_improving_epoch(self, family):
+        build, data, _ = _tiny_family_case(family)
+        config = self._config(validation_fraction=0.34)
+        model, log = train_model(build(), data, config)
+        b = _last_improving_epoch(log, config.early_stop_tol)
+        assert all(e.val_loss is not None for e in log)
+        assert 1 <= b < len(log) == config.max_epochs  # the restore matters
+        capped, capped_log = train_model(build(), data, self._config(
+            validation_fraction=0.34, max_epochs=b))
+        assert capped_log == log[:b]
+        for name, value in model.network.params().items():
+            np.testing.assert_array_equal(value, capped.network.params()[name], err_msg=name)
+
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.34])
+    def test_patience_stops_p_epochs_after_the_last_improvement(self, family,
+                                                                validation_fraction):
+        build, data, _ = _tiny_family_case(family)
+        config = self._config(max_epochs=30, early_stop_patience=2, early_stop_tol=0.01,
+                              validation_fraction=validation_fraction)
+        model, log = train_model(build(), data, config)
+        assert len(log) < config.max_epochs  # patience fired
+        assert len(log) == _last_improving_epoch(log, config.early_stop_tol) + 2
+        assert model.epochs_trained == len(log)
+
+    def test_no_training_units_is_no_data_error(self, family):
+        build, data, unit = _tiny_family_case(family)
+        config = self._config()
+        # TrainConfig refuses a fraction of 1; set it past that check to
+        # reach the loop's own guard.
+        config.validation_fraction = 1.0
+        with pytest.raises(NoDataError, match=f"no training {unit}"):
+            train_model(build(), data, config)
+
+
 class TestPrediction:
     def test_mlp_rowwise_equals_batch(self):
         rng = np.random.default_rng(7)
@@ -470,11 +550,13 @@ class TestEncoders:
         traces = [random_trace(rng, T=40, F=132, category="worm", onset_row=20)]
         enc = build_autoencoder(132, 30, seed=0)
         enc.norm = featurize.zscore_fit(traces[0].features)
-        out = encode_dataset(enc, traces)
-        assert out[0].num_features == 30
-        assert out[0].num_rows == 40
-        np.testing.assert_array_equal(out[0].labels, traces[0].labels)
-        np.testing.assert_array_equal(out[0].times, traces[0].times)
+        codes = encode_rows(enc, traces[0].features)
+        out = dataclasses.replace(traces[0], header=[f"enc{i}" for i in range(30)],
+                                  features=codes)
+        assert out.num_features == 30
+        assert out.num_rows == 40
+        np.testing.assert_array_equal(out.labels, traces[0].labels)
+        np.testing.assert_array_equal(out.times, traces[0].times)
 
     def test_identity_probe_reproduces_tanh(self):
         # An identity-initialized encoder layer maps normalized rows to
