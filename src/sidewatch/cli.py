@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -299,6 +300,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.kind == "threshold" and args.model is None:
+        print("sweep threshold needs --model", file=sys.stderr)
+        return EXIT_USAGE
     manifest, test_traces = _load_corpus(args.corpus, "test")
     cfg = _detector_config(args)
     out = Path(args.out or _default_out(f"sweep-{args.kind}", args.seed))
@@ -373,6 +377,39 @@ def _read_rows(source, follow: bool, poll_s: float = 0.2):
             fh.close()
 
 
+# A checkpoint's fields and the JSON types each must have.
+_CHECKPOINT_FIELDS = {"rows_seen": int, "run": int, "alerted": bool,
+                      "alert_row": (int, type(None)), "source_rows_read": int}
+
+
+def _read_checkpoint(path) -> dict:
+    """The saved stream state; a file that does not hold one is a data error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            saved = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SidewatchError(f"{path}: not a detect checkpoint ({exc})") from None
+    if not isinstance(saved, dict):
+        raise SidewatchError(f"{path}: not a detect checkpoint (not a JSON object)")
+    bad = [key for key, kind in _CHECKPOINT_FIELDS.items()
+           if key not in saved or not isinstance(saved[key], kind)]
+    if bad:
+        raise SidewatchError(f"{path}: not a detect checkpoint (missing or bad {', '.join(bad)})")
+    return saved
+
+
+def _write_checkpoint(path: Path, state: dict) -> None:
+    """Write *state* to a temporary file, then move it over *path*, so an
+    interrupted write leaves the previous checkpoint whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(state, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def _cmd_detect(args) -> int:
     artifact = models.load_model(args.model)
     predictor = models.stream_predictor(artifact)
@@ -380,8 +417,7 @@ def _cmd_detect(args) -> int:
     state = StreamState(cfg=_detector_config(args))
     start_index = 0
     if args.checkpoint and Path(args.checkpoint).exists():
-        with open(args.checkpoint, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
+        saved = _read_checkpoint(args.checkpoint)
         state.rows_seen = saved["rows_seen"]
         state.run = saved["run"]
         state.alerted = saved["alerted"]
@@ -411,15 +447,13 @@ def _cmd_detect(args) -> int:
         pass
     finally:
         if args.checkpoint:
-            with open(args.checkpoint, "w", encoding="utf-8") as fh:
-                json.dump({
-                    "rows_seen": state.rows_seen,
-                    "run": state.run,
-                    "alerted": state.alerted,
-                    "alert_row": state.alert_row,
-                    "source_rows_read": max(rows_read, start_index),
-                }, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_checkpoint(args.checkpoint, {
+                "rows_seen": state.rows_seen,
+                "run": state.run,
+                "alerted": state.alerted,
+                "alert_row": state.alert_row,
+                "source_rows_read": max(rows_read, start_index),
+            })
         if events_fh is not sys.stdout:
             events_fh.close()
     return EXIT_ALERT if state.alerted or state.alert_row is not None else EXIT_OK

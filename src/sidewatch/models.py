@@ -35,6 +35,7 @@ import base64
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -92,7 +93,12 @@ RNN_VARIANTS = {
 RNN_HIDDEN = (16, 32, 32, 16)
 
 ARTIFACT_FORMAT = "sidewatch-model"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+# PNG-style: the high byte and the line ends expose a text-mode transfer.
+ARTIFACT_MAGIC = b"\x89SWM\r\n\x1a\n"
+_LENGTH = struct.Struct("<Q")
+_DIGEST_START = len(ARTIFACT_MAGIC) + _LENGTH.size
+_HEADER_START = _DIGEST_START + hashlib.sha256().digest_size
 
 
 @dataclass(frozen=True)
@@ -170,13 +176,12 @@ def describe_network(network) -> list[dict]:
 
 
 def _new_artifact(family: str, F: int, hyper: dict, seed: int, **fields) -> ModelArtifact:
-    network = _FAMILY_TABLE[family].network(F, hyper, seed)
+    network = _FAMILY_TABLE[family].network(F, hyper, np.random.default_rng(seed))
     return ModelArtifact(family=family, input_dim=F, hyper=hyper, network=network,
                          seed=seed, **fields)
 
 
-def _mlp_network(F: int, hyper: dict, seed: int) -> Sequential:
-    rng = np.random.default_rng(seed)
+def _mlp_network(F: int, hyper: dict, rng) -> Sequential:
     layers = []
     prev = F
     for h in hyper["hidden"]:
@@ -205,8 +210,7 @@ def build_mlp(F: int, hidden: tuple[int, ...] = (100,), seed: int = 0) -> ModelA
     return _new_artifact("mlp", F, {"hidden": list(hidden)}, seed)
 
 
-def _conv_network(F: int, hyper: dict, seed: int) -> MultiBranch:
-    rng = np.random.default_rng(seed)
+def _conv_network(F: int, hyper: dict, rng) -> MultiBranch:
     reg = Regularizer(l1=hyper["l1"], l2=hyper["l2"], activity_l2=hyper["activity_l2"])
     branches = [
         Sequential([
@@ -265,8 +269,7 @@ def build_conv_multibranch(
     return _new_artifact("conv_multibranch", F, hyper, seed, window=window)
 
 
-def _autoencoder_network(F: int, hyper: dict, seed: int) -> Sequential:
-    rng = np.random.default_rng(seed)
+def _autoencoder_network(F: int, hyper: dict, rng) -> Sequential:
     d = hyper["bottleneck"]
     return Sequential([
         Dense(F, d, "tanh", rng=rng),
@@ -286,8 +289,7 @@ def build_autoencoder(F: int, d: int, seed: int = 0) -> ModelArtifact:
     return _new_artifact("autoencoder", F, {"bottleneck": d}, seed)
 
 
-def _rnn_network(F: int, hyper: dict, seed: int) -> Sequential:
-    rng = np.random.default_rng(seed)
+def _rnn_network(F: int, hyper: dict, rng) -> Sequential:
     cell = hyper["cell"]
     bidirectional = hyper["bidirectional"]
     layers = []
@@ -867,7 +869,7 @@ class SequenceStreamPredictor:
 class _Family:
     """What differs between model families; the rest of the module is shared."""
 
-    network: Callable       # (F, hyper, seed) -> freshly initialized network
+    network: Callable       # (F, hyper, rng) -> network with weights drawn from rng
     param_count: Callable   # (F, hyper) -> closed-form parameter count
     batches: Callable       # (artifact, train_model data, config) -> _Batches
     train_data: Callable    # (traces, sequence length) -> train_model data
@@ -923,6 +925,15 @@ def stream_predictor(artifact: ModelArtifact):
 
 
 # --- persistence ----------------------------------------------------------------
+#
+# A version-2 artifact is, in order: ARTIFACT_MAGIC; the header length as a
+# little-endian uint64; the sha256 digest of every other byte of the file
+# (the length field included, so no edit of it can hide in the header's
+# padding); the header, sorted-key JSON padded with spaces to a multiple of
+# 8 bytes; and one buffer of little-endian float64 parameters. The header
+# gives each parameter's shape and its byte offset into the buffer; an
+# embedded encoder has its own nested header pointing into the same buffer.
+# Version-1 artifacts, one JSON document with base64 parameters, still load.
 
 
 def _norm_to_doc(norm: NormStats | None):
@@ -938,13 +949,16 @@ def _norm_from_doc(doc) -> NormStats | None:
                      std=np.asarray(doc["std"], dtype=np.float64))
 
 
-def _artifact_to_doc(artifact: ModelArtifact) -> dict:
+def _artifact_to_header(artifact: ModelArtifact, arrays: list[np.ndarray]) -> dict:
+    """The artifact's header. Its parameters join *arrays* as contiguous
+    little-endian float64, at the buffer offsets the header records."""
+    offset = sum(a.nbytes for a in arrays)
     params = {}
     for name, p in artifact.network.params().items():
-        params[name] = {
-            "shape": list(p.shape),
-            "data": base64.b64encode(np.ascontiguousarray(p, dtype="<f8").tobytes()).decode(),
-        }
+        arr = np.ascontiguousarray(p, dtype="<f8")
+        params[name] = {"shape": list(p.shape), "offset": offset}
+        arrays.append(arr)
+        offset += arr.nbytes
     window = None
     if artifact.window is not None:
         window = {"raw_window": artifact.window.raw_window,
@@ -958,62 +972,121 @@ def _artifact_to_doc(artifact: ModelArtifact) -> dict:
         "norm": _norm_to_doc(artifact.norm),
         "seed": artifact.seed,
         "epochs_trained": artifact.epochs_trained,
-        "encoder": None if artifact.encoder is None else _artifact_to_doc(artifact.encoder),
+        "encoder": (None if artifact.encoder is None
+                    else _artifact_to_header(artifact.encoder, arrays)),
         "params": params,
     }
 
 
-def _artifact_from_doc(doc: dict) -> ModelArtifact:
-    family = doc["family"]
+class _Unset:
+    """Takes the weight-init generator's place when a network is built only
+    to receive stored parameters: every draw is an uninitialised array."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
+def _artifact_from_header(header: dict, values: Callable) -> ModelArtifact:
+    """The artifact *header* describes; values(entry, size) gives the
+    stored float64 values of one parameter's header entry, flat."""
+    family = header["family"]
     if family not in FAMILIES:
         raise CorruptArtifactError(f"unknown family {family!r}")
-    artifact = _new_artifact(
-        family, doc["input_dim"], doc["hyper"], doc["seed"],
-        norm=_norm_from_doc(doc["norm"]),
-        window=None if doc["window"] is None else WindowConfig(**doc["window"]),
-        sequence_length=doc["sequence_length"],
-        encoder=None if doc["encoder"] is None else _artifact_from_doc(doc["encoder"]),
-        epochs_trained=doc["epochs_trained"],
+    F, hyper, encoder = header["input_dim"], header["hyper"], header["encoder"]
+    artifact = ModelArtifact(
+        family=family, input_dim=F, hyper=hyper,
+        network=_FAMILY_TABLE[family].network(F, hyper, _Unset()),
+        norm=_norm_from_doc(header["norm"]),
+        window=None if header["window"] is None else WindowConfig(**header["window"]),
+        sequence_length=header["sequence_length"],
+        encoder=None if encoder is None else _artifact_from_header(encoder, values),
+        seed=header["seed"],
+        epochs_trained=header["epochs_trained"],
     )
     params = artifact.network.params()
-    stored = doc["params"]
+    stored = header["params"]
     if set(stored) != set(params):
         raise CorruptArtifactError("parameter names do not match the architecture")
     for name, p in params.items():
         entry = stored[name]
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f8")
+        arr = values(entry, p.size)
         if list(p.shape) != entry["shape"] or arr.size != p.size:
             raise CorruptArtifactError(f"parameter {name!r} has the wrong shape")
         p[...] = arr.reshape(p.shape)
     return artifact
 
 
-def _checksum(doc: dict) -> str:
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
-    """Write the versioned, checksummed artifact container (byte-stable)."""
-    doc = _artifact_to_doc(artifact)
-    doc["format"] = ARTIFACT_FORMAT
-    doc["version"] = ARTIFACT_VERSION
-    doc["checksum"] = _checksum(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    """Write the version-2 artifact container (byte-stable; layout above)."""
+    arrays: list[np.ndarray] = []
+    header = _artifact_to_header(artifact, arrays)
+    header["format"] = ARTIFACT_FORMAT
+    header["version"] = ARTIFACT_VERSION
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    text += b" " * (-len(text) % 8)
+    preamble = ARTIFACT_MAGIC + _LENGTH.pack(len(text))
+    digest = hashlib.sha256(preamble)
+    for chunk in (text, *arrays):
+        digest.update(chunk)
+    with open(path, "wb") as fh:
+        for chunk in (preamble, digest.digest(), text, *arrays):
+            fh.write(chunk)
+
+
+def _check_header(header, path, version: int) -> None:
+    if not isinstance(header, dict) or header.get("format") != ARTIFACT_FORMAT:
+        raise CorruptArtifactError(f"{path}: not a sidewatch model artifact")
+    if header.get("version") != version:
+        raise VersionMismatchError(
+            f"{path}: artifact version {header.get('version')} != {version}"
+        )
+
+
+def _read_v2(data: bytes, path):
+    """The header of a version-2 artifact and its parameter reader."""
+    if not data.startswith(ARTIFACT_MAGIC):
+        raise CorruptArtifactError(f"{path}: not a sidewatch model artifact")
+    if len(data) < _HEADER_START:
+        raise CorruptArtifactError(f"{path}: truncated artifact")
+    (length,) = _LENGTH.unpack_from(data, len(ARTIFACT_MAGIC))
+    end = _HEADER_START + length
+    if end > len(data):
+        raise CorruptArtifactError(f"{path}: header length {length} runs past the end of the file")
+    try:
+        header = json.loads(data[_HEADER_START:end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
+        raise CorruptArtifactError(f"{path}: not a valid artifact file ({exc})") from None
+    _check_header(header, path, ARTIFACT_VERSION)
+    view = memoryview(data)
+    digest = hashlib.sha256(view[:_DIGEST_START])
+    digest.update(view[_HEADER_START:])
+    if digest.digest() != view[_DIGEST_START:_HEADER_START]:
+        raise CorruptArtifactError(f"{path}: checksum mismatch (truncated or edited?)")
+    buffer = view[end:]
+
+    def values(entry, size):
+        offset = entry["offset"]
+        if (type(offset) is not int or offset < 0 or offset % 8
+                or offset + 8 * size > len(buffer)):
+            raise CorruptArtifactError(
+                f"{path}: parameter offset {offset!r} is outside the buffer")
+        return np.frombuffer(buffer, dtype="<f8", count=size, offset=offset)
+
+    return header, values
 
 
 _CHECKSUM_HEAD = b'{"checksum":"'
 
 
 def _checksum_matches(data: bytes) -> bool:
-    """Whether *data*, a whole artifact file, carries the checksum of its bytes.
+    """Whether *data*, a whole version-1 artifact file, carries the checksum
+    of its bytes.
 
-    save_model sorts keys, so the checksum is the first member, and the
-    document it hashed is the file without ``"checksum":"<hex>",`` and
-    without the line end. Those bytes are hashed in place.
+    The version-1 save_model sorted keys, so the checksum is the first
+    member, and the document it hashed is the file without
+    ``"checksum":"<hex>",`` and without the line end. Those bytes are
+    hashed in place.
     """
     hex_end = len(_CHECKSUM_HEAD) + 64
     if not data.startswith(_CHECKSUM_HEAD) or data[hex_end:hex_end + 2] != b'",':
@@ -1026,22 +1099,25 @@ def _checksum_matches(data: bytes) -> bool:
     return digest.hexdigest().encode() == data[len(_CHECKSUM_HEAD):hex_end]
 
 
-def load_model(path: str | Path) -> ModelArtifact:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _read_v1(data: bytes, path):
+    """The document of a version-1 (JSON) artifact and its parameter reader."""
     try:
         doc = json.loads(data)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
         raise CorruptArtifactError(f"{path}: not a valid artifact file ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != ARTIFACT_FORMAT:
-        raise CorruptArtifactError(f"{path}: not a sidewatch model artifact")
-    if doc.get("version") != ARTIFACT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: artifact version {doc.get('version')} != {ARTIFACT_VERSION}"
-        )
+    _check_header(doc, path, 1)
     if not _checksum_matches(data):
         raise CorruptArtifactError(f"{path}: checksum mismatch (truncated or edited?)")
+    return doc, lambda entry, size: np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+
+
+def load_model(path: str | Path) -> ModelArtifact:
+    """Read an artifact: version 2, or version 1, which is JSON text and
+    so starts with "{" (the content tells them apart, not the name)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, values = (_read_v1 if data.startswith(b"{") else _read_v2)(data, path)
     try:
-        return _artifact_from_doc(doc)
+        return _artifact_from_header(header, values)
     except KeyError as exc:
         raise CorruptArtifactError(f"{path}: missing field {exc}") from None

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from sidewatch import cli, models, telemetry
 from sidewatch.cli import EXIT_ALERT, EXIT_DATA, EXIT_OK, EXIT_USAGE
 from sidewatch.detector import DetectorConfig, classify_file
 from sidewatch.models import TrainConfig, build_mlp, predict_rows, train_model
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +242,11 @@ class TestSweepCommand:
         lines = (out / "threshold_sweep.txt").read_text().splitlines()
         assert len(lines) == 41  # header + 40
 
+    def test_threshold_sweep_without_model_is_usage_error(self, tmp_path, capsys):
+        # The corpus does not exist: --model must be asked for before it loads.
+        rc = cli.main(["sweep", "threshold", "--corpus", str(tmp_path / "absent")])
+        assert rc == EXIT_USAGE
+        assert "--model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,flag,value", [
         ("seqlen", "variants", "rnn_gru,rnn_foo"),
@@ -389,6 +397,40 @@ class TestDetect:
         assert cli.main(argv) == EXIT_DATA
         assert "t=24.0 after t=24.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        "{}", "", '{"rows_seen": 100, "run": 0, "alert', "[]",
+        '{"rows_seen": "100", "run": 0, "alerted": false, "alert_row": null,'
+        ' "source_rows_read": 100}'])
+    def test_bad_checkpoint_is_data_error(self, cli_corpus, tmp_path, capsys, content):
+        root, corpus, model_path = cli_corpus
+        trace_path, meta = self._malicious_trace_path(corpus)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(content)
+        rc = cli.main(["detect", "--model", str(model_path), "--source", str(trace_path),
+                       "--checkpoint", str(ckpt)])
+        assert rc == EXIT_DATA
+        assert f"{ckpt}: not a detect checkpoint" in capsys.readouterr().err
+        assert ckpt.read_text() == content
+
+    def test_interrupted_checkpoint_write_keeps_the_previous_one(
+            self, cli_corpus, tmp_path, monkeypatch):
+        root, corpus, model_path = cli_corpus
+        trace_path, meta = self._malicious_trace_path(corpus)
+        ckpt = tmp_path / "ckpt.json"
+        argv = ["detect", "--model", str(model_path), "--source", str(trace_path),
+                "--checkpoint", str(ckpt), "--events", str(tmp_path / "ev.jsonl")]
+        cli.main(argv)
+        saved = ckpt.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "ev.jsonl"]
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write('{"rows_seen": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", torn_dump)
+        assert cli.main(argv) == EXIT_DATA
+        assert ckpt.read_text() == saved
+
     def test_autoencoder_cannot_stream_rows(self, tmp_path, capsys):
         path = tmp_path / "ae.json"
         models.save_model(models.build_autoencoder(8, 3, seed=0), path)
@@ -495,9 +537,17 @@ class TestInspect:
 
     def test_non_utf8_artifact_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "model.json"
+        data = bytearray((DATA / "v1_mlp.json").read_bytes())
+        data[40] = 0xFF
+        path.write_bytes(bytes(data))
+        assert cli.main(["inspect", "--model", str(path)]) == EXIT_DATA
+        assert "not a valid artifact file" in capsys.readouterr().err
+
+    def test_non_utf8_v2_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
         models.save_model(build_mlp(3, seed=0), path)
         data = bytearray(path.read_bytes())
-        data[40] = 0xFF
+        data[48 + 5] = 0xFF  # inside the header, after magic, length and digest
         path.write_bytes(bytes(data))
         assert cli.main(["inspect", "--model", str(path)]) == EXIT_DATA
         assert "not a valid artifact file" in capsys.readouterr().err

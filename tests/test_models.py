@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -42,6 +44,25 @@ from sidewatch.telemetry import SampleRow
 from conftest import random_trace
 
 DATA = Path(__file__).parent / "data"
+V2_FIXTURE = DATA / "v2_mlp.bin"
+V2_HEADER_START = 48  # magic (8 bytes), header length (8), sha256 digest (32)
+
+
+def v2_parts(data: bytes) -> tuple[dict, bytes]:
+    """The header and the parameter buffer of a version-2 artifact."""
+    (length,) = struct.unpack_from("<Q", data, 8)
+    end = V2_HEADER_START + length
+    return json.loads(data[V2_HEADER_START:end]), data[end:]
+
+
+def header_text(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+
+
+def v2_container(text: bytes, buffer: bytes, length: int | None = None) -> bytes:
+    """A version-2 artifact around *text* and *buffer* with a correct digest."""
+    preamble = models.ARTIFACT_MAGIC + struct.pack("<Q", len(text) if length is None else length)
+    return preamble + hashlib.sha256(preamble + text + buffer).digest() + text + buffer
 
 
 class TestParameterAccounting:
@@ -636,23 +657,40 @@ class TestPersistence:
             load_model(path)
 
     def test_checksum_detects_edits(self, tmp_path):
-        m = build_mlp(3, seed=0)
         path = tmp_path / "model.json"
-        save_model(m, path)
-        text = path.read_text().replace('"epochs_trained":0', '"epochs_trained":5')
-        path.write_text(text)
+        text = (DATA / "v1_mlp.json").read_text()
+        assert text.count('"epochs_trained":2') == 1
+        path.write_text(text.replace('"epochs_trained":2', '"epochs_trained":5'))
+        with pytest.raises(CorruptArtifactError):
+            load_model(path)
+
+    def test_v2_checksum_detects_edits(self, tmp_path):
+        path = tmp_path / "model.json"
+        data = V2_FIXTURE.read_bytes()
+        assert data.count(b'"epochs_trained":3') == 1
+        path.write_bytes(data.replace(b'"epochs_trained":3', b'"epochs_trained":5'))
         with pytest.raises(CorruptArtifactError):
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):
-        m = build_mlp(3, seed=0)
         path = tmp_path / "model.json"
-        save_model(m, path)
-        doc = json.loads(path.read_text())
+        doc = json.loads((DATA / "v1_mlp.json").read_text())
         doc["version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(VersionMismatchError):
             load_model(path)
+
+    def test_v2_version_mismatch(self, tmp_path):
+        # The version is checked before the checksum, as in version 1.
+        data = V2_FIXTURE.read_bytes()
+        header, buffer = v2_parts(data)
+        header["version"] = 999
+        path = tmp_path / "model.json"
+        for edited in (v2_container(header_text(header), buffer),
+                       data.replace(b'"version":2', b'"version":9')):
+            path.write_bytes(edited)
+            with pytest.raises(VersionMismatchError):
+                load_model(path)
 
     def test_missing_path_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -662,11 +700,18 @@ class TestPersistence:
 
     def test_non_utf8_byte_is_corrupt(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(build_mlp(3, seed=0), path)
-        data = bytearray(path.read_bytes())
+        data = bytearray((DATA / "v1_mlp.json").read_bytes())
         data[40] = 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptArtifactError):
+            load_model(path)
+
+    def test_v2_non_utf8_header_byte_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        data = bytearray(V2_FIXTURE.read_bytes())
+        data[V2_HEADER_START + 5] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="not a valid artifact file"):
             load_model(path)
 
     @settings(max_examples=300, deadline=None)
@@ -683,32 +728,155 @@ class TestPersistence:
         with pytest.raises((CorruptArtifactError, VersionMismatchError)):
             load_model(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_v2_any_single_byte_edit_is_refused(self, tmp_path_factory, data):
+        # The digest covers every byte but its own, and a digest byte edit
+        # breaks the match: no edit anywhere can load, and none may escape
+        # as another exception. The fixture embeds an encoder.
+        original = V2_FIXTURE.read_bytes()
+        pos = data.draw(st.integers(0, len(original) - 1), label="pos")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != original[pos]),
+                         label="byte")
+        path = tmp_path_factory.getbasetemp() / "byte_edit_v2.json"
+        path.write_bytes(original[:pos] + bytes([byte]) + original[pos + 1:])
+        with pytest.raises((CorruptArtifactError, VersionMismatchError)):
+            load_model(path)
+
+    def test_v2_length_edit_cannot_hide_in_padding(self, tmp_path):
+        # One byte less of header still parses (it ends in padding); only
+        # the digest over the length field refuses it.
+        path = tmp_path / "model.json"
+        save_model(load_model(V2_FIXTURE), path)
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", data, 8)
+        shorter = data[V2_HEADER_START:V2_HEADER_START + length - 1]
+        assert json.loads(shorter) == v2_parts(data)[0]
+        path.write_bytes(data[:8] + struct.pack("<Q", length - 1) + data[16:])
+        with pytest.raises(CorruptArtifactError, match="checksum"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", [
+        "cut_in_preamble", "length_past_end", "offset_past_end", "offset_negative",
+        "offset_unaligned", "truncated_buffer", "non_utf8_header"])
+    def test_v2_structural_damage_is_corrupt(self, tmp_path, damage):
+        # Each damaged file carries a correct digest, so the structural
+        # checks themselves must refuse it.
+        header, buffer = v2_parts(V2_FIXTURE.read_bytes())
+        length = None
+        if damage.startswith("offset"):
+            header["params"]["1.b"]["offset"] = {
+                "offset_past_end": len(buffer), "offset_negative": -8,
+                "offset_unaligned": 4}[damage]
+        text = header_text(header)
+        if damage == "length_past_end":
+            length = len(text) + len(buffer) + 1
+        if damage == "truncated_buffer":
+            buffer = buffer[:-8]
+        if damage == "non_utf8_header":
+            text = text.replace(b'"family":"mlp"', b'"family":"ml\xff"')
+        data = v2_container(text, buffer, length)
+        if damage == "cut_in_preamble":
+            data = data[:V2_HEADER_START - 1]
+        path = tmp_path / "model.json"
+        path.write_bytes(data)
+        with pytest.raises(CorruptArtifactError):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_deeply_nested_json_is_corrupt(self, tmp_path, version):
+        nested = b"[" * 100_000
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"a":' + nested if version == 1 else v2_container(nested, b""))
+        with pytest.raises(CorruptArtifactError, match="not a valid artifact file"):
+            load_model(path)
+
     def test_reindented_artifact_is_refused(self, tmp_path):
         # The checksum is over the bytes save_model wrote: the same document
         # serialised another way counts as edited.
         path = tmp_path / "model.json"
-        save_model(build_mlp(3, seed=0), path)
+        path.write_bytes((DATA / "v1_mlp.json").read_bytes())
         load_model(path)
         path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
         with pytest.raises(CorruptArtifactError):
             load_model(path)
 
+    def test_v2_reindented_header_is_refused(self, tmp_path):
+        data = V2_FIXTURE.read_bytes()
+        header, buffer = v2_parts(data)
+        text = json.dumps(header, sort_keys=True, indent=2).encode()
+        text += b" " * (-len(text) % 8)
+        path = tmp_path / "model.json"
+        path.write_bytes(data[:8] + struct.pack("<Q", len(text))
+                         + data[16:V2_HEADER_START] + text + buffer)
+        with pytest.raises(CorruptArtifactError, match="checksum"):
+            load_model(path)
+
     def test_crlf_line_end_is_accepted(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(build_mlp(3, seed=0), path)
-        path.write_bytes(path.read_bytes()[:-1] + b"\r\n")
+        path.write_bytes((DATA / "v1_mlp.json").read_bytes()[:-1] + b"\r\n")
         assert load_model(path).family == "mlp"
+
+    def test_v2_appended_line_end_is_refused(self, tmp_path):
+        # Version 2 has no line end: the digest covers every byte to the
+        # end of the file.
+        path = tmp_path / "model.json"
+        path.write_bytes(V2_FIXTURE.read_bytes() + b"\r\n")
+        with pytest.raises(CorruptArtifactError, match="checksum"):
+            load_model(path)
 
     def test_version_1_artifact_still_loads(self, tmp_path):
         # tests/data/v1_mlp.json was written by the version-1 save_model
         # (build_mlp(3, hidden=(4,), seed=0) with z-score stats); the probe
         # file beside it holds input rows and the probabilities it gave.
-        original = (DATA / "v1_mlp.json").read_bytes()
+        # save_model converts it to version 2 without changing a value.
         probe = json.loads((DATA / "v1_mlp_probe.json").read_text())
         m = load_model(DATA / "v1_mlp.json")
         trace = random_trace(np.random.default_rng(0), T=len(probe["rows"]), F=3)
         trace.features = np.array(probe["rows"], dtype=np.float64)
         np.testing.assert_array_equal(predict_rows(m, trace), probe["probs"])
+        converted, again = tmp_path / "converted.json", tmp_path / "again.json"
+        save_model(m, converted)
+        back = load_model(converted)
+        assert back.epochs_trained == m.epochs_trained
+        params = back.network.params()
+        for name, p in m.network.params().items():
+            np.testing.assert_array_equal(params[name], p)
+        np.testing.assert_array_equal(predict_rows(back, trace), probe["probs"])
+        save_model(back, again)
+        assert again.read_bytes() == converted.read_bytes()
+
+    def test_version_2_fixture_loads_and_resaves(self, tmp_path):
+        # tests/data/v2_mlp.bin was written by the version-2 save_model from
+        # build_mlp(3, hidden=(4,), seed=0) with an embedded
+        # build_autoencoder(6, 3, seed=1), z-score stats on both and
+        # epochs_trained 3; its probe holds input rows and the probabilities
+        # it gave. A change to the writer's bytes fails here.
+        probe = json.loads((DATA / "v2_mlp_probe.json").read_text())
+        m = load_model(V2_FIXTURE)
+        assert m.encoder is not None and m.encoder.family == "autoencoder"
+        trace = random_trace(np.random.default_rng(0), T=len(probe["rows"]), F=6)
+        trace.features = np.array(probe["rows"], dtype=np.float64)
+        np.testing.assert_array_equal(predict_rows(m, trace), probe["probs"])
         path = tmp_path / "resaved.json"
         save_model(m, path)
-        assert path.read_bytes() == original
+        assert path.read_bytes() == V2_FIXTURE.read_bytes()
+
+    def test_v2_layout(self):
+        # The documented layout, read independently of load_model: magic,
+        # header length, a digest of every other byte, the padded sorted-key
+        # header, then the buffer at 8-byte-aligned offsets.
+        data = V2_FIXTURE.read_bytes()
+        assert data[:8] == models.ARTIFACT_MAGIC
+        (length,) = struct.unpack_from("<Q", data, 8)
+        assert length % 8 == 0
+        assert hashlib.sha256(data[:16] + data[V2_HEADER_START:]).digest() == data[16:48]
+        header, buffer = v2_parts(data)
+        assert header_text(header) == data[V2_HEADER_START:V2_HEADER_START + length].rstrip(b" ")
+        m = load_model(V2_FIXTURE)
+        for art, entries in ((m, header["params"]), (m.encoder, header["encoder"]["params"])):
+            for name, p in art.network.params().items():
+                off = entries[name]["offset"]
+                assert off % 8 == 0
+                np.testing.assert_array_equal(
+                    np.frombuffer(buffer, "<f8", p.size, off).reshape(p.shape), p)
