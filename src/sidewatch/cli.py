@@ -249,11 +249,10 @@ def _cmd_train(args) -> int:
     if not traces:
         print("no training traces found", file=sys.stderr)
         return EXIT_DATA
-    F = traces[0].num_features
-    artifact = _build_for_train(args, F if args.encoder is None
-                                else models.load_model(args.encoder).hyper["bottleneck"])
-    if args.encoder is not None:
-        artifact.encoder = models.load_model(args.encoder)
+    encoder = None if args.encoder is None else models.load_model(args.encoder)
+    artifact = _build_for_train(args, traces[0].num_features if encoder is None
+                                else encoder.hyper["bottleneck"])
+    artifact.encoder = encoder
     data = models.training_data(artifact.family, traces, args.seq_len)
     artifact, log = models.train_model(artifact, data, _train_config(args))
 

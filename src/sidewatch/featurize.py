@@ -60,19 +60,32 @@ def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
 
     Length-preserving; the window is shortened at the start of the series.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    return rolling_means(series, (window,))[0]
+
+
+def rolling_means(series: np.ndarray, windows: tuple[int, ...],
+                  start: int = 0) -> list[np.ndarray]:
+    """rolling_mean of *series* for each of *windows*, from one cumulative
+    sum; each result leaves out the rows before *start*."""
     series = np.asarray(series, dtype=np.float64)
     squeeze = series.ndim == 1
-    x = series[:, None] if squeeze else series
-    T = x.shape[0]
-    c = np.cumsum(x, axis=0)
-    out = np.empty_like(x)
-    head = min(window, T)
-    out[:head] = c[:head] / np.arange(1, head + 1, dtype=np.float64)[:, None]
-    if T > window:
-        out[window:] = (c[window:] - c[:-window]) / float(window)
-    return out[:, 0] if squeeze else out
+    c = np.add.accumulate(series[:, None] if squeeze else series, axis=0)
+    outs = []
+    for window in windows:
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        # Rows before `split` average every row so far, the rest their last `window`.
+        split = min(max(window, start), len(c))
+        if split == len(c):
+            out = c[start:] / np.arange(start + 1, split + 1.0)[:, None]
+        else:
+            out = c[split:] - c[split - window : len(c) - window]
+            out /= window
+            if split > start:
+                head = c[start:split] / np.arange(start + 1, split + 1.0)[:, None]
+                out = np.concatenate((head, out))
+        outs.append(out[:, 0] if squeeze else out)
+    return outs
 
 
 def downsample(series: np.ndarray, factor: int) -> np.ndarray:
@@ -124,10 +137,11 @@ def make_branch_set(rows: np.ndarray, sample_period_s: float) -> BranchSet:
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValueError(f"need a nonempty [T, F] matrix, got shape {rows.shape}")
     w_short, w_long, f_mid, f_long = branch_geometry(sample_period_s)
+    smooth_short, smooth_long = rolling_means(rows, (w_short, w_long))
     return BranchSet(
         raw=rows,
-        smooth_short=rolling_mean(rows, w_short),
-        smooth_long=rolling_mean(rows, w_long),
+        smooth_short=smooth_short,
+        smooth_long=smooth_long,
         down_mid=downsample(rows, f_mid),
         down_long=downsample(rows, f_long),
         mid_factor=f_mid,
@@ -159,10 +173,11 @@ def make_row_windows(
 
     Full-rate branches contribute their last *raw_window* rows up to and
     including the row; decimated branches contribute their last
-    *down_window* rows at or before the row's time. Note the decimated
-    branches drop the trailing partial block (floor-length rule), so for
-    the final ``T mod factor`` rows of a trace the freshest decimated
-    sample predates the row by up to one factor.
+    *down_window* rows at or before the row's time. Training keeps
+    make_branch_set's floor-length rule, so the final ``T mod factor`` rows
+    of a trace see a decimated sample up to one factor older than the one
+    inference (which samples every row i with i % factor == 0, as do
+    branches decimated by ``rows[::factor]``) gives them.
     """
     T = branches.num_rows
     if not 0 <= row_index < T:

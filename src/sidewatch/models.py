@@ -23,10 +23,10 @@ and the live predictor. Every family trains through one epoch loop
 (_fit).
 
 Per-row conv prediction slides the causal lookback windows over the
-branch views. The implementation computes each branch's convolution once
-over a front-padded series and takes sliding-window maxima, which is
-exactly equivalent to convolving each materialized window (verified in
-the test suite against the per-window path).
+branch views through one stateful engine (_ConvEngine), stepped by a whole
+trace (predict_rows) or by one row (RowStreamPredictor.push): one
+convolution per branch and block plus sliding-window maxima, exactly
+equivalent to convolving each materialized window (predict_rows_windowed).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -77,7 +77,6 @@ from .nn import (
     evaluate_loss,
     make_optimizer,
 )
-from .nn.layers import activate
 from .nn.recurrent import make_cell
 from .telemetry import DEFAULT_SAMPLE_PERIOD_S, Trace
 
@@ -462,9 +461,13 @@ def _fit_norm_if_missing(artifact: ModelArtifact, rows: np.ndarray) -> None:
 
 
 def _model_rows(artifact: ModelArtifact, rows: np.ndarray) -> np.ndarray:
-    """Rows as the model sees them: encoded first (if any), then z-scored."""
+    """Rows as the model sees them: encoded (if any), width-checked, z-scored."""
     if artifact.encoder is not None:
         rows = encode_rows(artifact.encoder, rows)
+    if rows.shape[-1] != artifact.input_dim:
+        raise ShapeMismatchError(
+            f"model expects {artifact.input_dim} features, got {rows.shape[-1]}"
+        )
     if artifact.norm is not None:
         rows = zscore_apply(artifact.norm, rows)
     return rows
@@ -585,86 +588,137 @@ def train_model(artifact: ModelArtifact, data, config: TrainConfig):
 
 def _sliding_max(values: np.ndarray, width: int) -> np.ndarray:
     # [P, C] -> [P-width+1, C]: max over each length-`width` run of rows.
+    if values.shape[0] == width:
+        # One window (a live stream's step).
+        return values.max(axis=0, keepdims=True)
     sw = np.lib.stride_tricks.sliding_window_view(values, width, axis=0)
     return sw.max(axis=-1)
 
 
-def _conv_branch_pooled(conv: Conv1D, branch: np.ndarray, win: int, T: int,
-                        factor: int | None) -> np.ndarray:
-    """Pooled conv activations for every row's causal window, in one pass.
+class _Tail:
+    """The newest rows of a series, in a buffer with room to append to.
+    extend(block, keep) appends a block, gives it with the rows kept before
+    it, then keeps the last *keep* rows. Rows are only ever written past the
+    ones it gave, so those views stay valid."""
 
-    Front-padding the branch with win-1 copies of its first row makes row
-    i's window the contiguous slice [i, i+win) of the padded series, so
-    one convolution plus a sliding max reproduces the per-window values.
+    def __init__(self, rows: np.ndarray):
+        self.buf, self.start, self.end = rows, 0, len(rows)
+
+    def extend(self, block: np.ndarray, keep: int) -> np.ndarray:
+        start, end = self.start, self.end + len(block)
+        if end > len(self.buf):  # full: move the kept rows to a new buffer, with room
+            kept = self.buf[start:self.end]
+            self.buf = np.empty((len(kept) + len(block) + 16, block.shape[1]))
+            self.buf[:len(kept)] = kept
+            start, end = 0, len(kept) + len(block)
+        self.buf[end - len(block):end] = block
+        self.start, self.end = max(start, end - keep), end
+        return self.buf[start:end]
+
+
+class _Branch:
+    """One conv branch of a _ConvEngine: its last kernel - 1 inputs, its
+    last win - kernel conv activations and its newest pooled vectors. It
+    starts as if front-padded with its first row, which is also its first
+    sample, so every padded activation is the first step's first one."""
+
+    def __init__(self, conv: Conv1D, win: int, first: np.ndarray):
+        self.conv, self.keep, self.width = conv, conv.kernel_size - 1, win - conv.kernel_size + 1
+        self.inputs = _Tail(np.repeat(first, self.keep, axis=0))
+        self.acts = None
+
+    def step(self, view: np.ndarray, seen: int, factor: int) -> np.ndarray:
+        """The pooled vector each row of the block *view* (rows seen.. of the
+        series) sees: that of the newest sample i <= row with i % factor == 0."""
+        if factor == 1:
+            return self._convolve(view)
+        skip = -seen % factor  # rows of the block before its first sample
+        if skip >= len(view):  # no sample: every row sees the newest pooled vector
+            newest = self.pooled[-1:]
+            return newest if len(view) == 1 else newest.repeat(len(view), axis=0)
+        last = self.pooled[-1:] if skip else None
+        pooled = self._convolve(view[skip::factor])
+        if skip:
+            pooled = np.concatenate((last, pooled))
+        return pooled[(np.arange(len(view)) - skip) // factor + (skip > 0)]
+
+    def _convolve(self, samples: np.ndarray) -> np.ndarray:
+        """Each new sample's pooled vector: one Conv1D.forward over the kept
+        inputs plus the samples, then a sliding max over the activations."""
+        acts, _ = self.conv.forward(self.inputs.extend(samples, self.keep), mode="infer")
+        if self.acts is None:
+            self.acts = _Tail(np.repeat(acts[:1], self.width - 1, axis=0))
+        self.pooled = _sliding_max(self.acts.extend(acts, self.width - 1), self.width)
+        return self.pooled
+
+
+class _ConvEngine:
+    """The conv family's one inference engine, for a whole trace and a live
+    stream alike: step_block(rows) takes the next n normalized rows of a
+    series and gives their n probabilities. Full-rate branches sample every
+    row, a decimated one row i when i % factor == 0 (see _Branch); the
+    smoothed views are rolling means over the kept last w_long - 1 rows plus
+    the block. Any split of a series into blocks gives the same
+    probabilities as one block, up to float rounding, from bounded state.
     """
-    k = conv.kernel_size
-    if branch.shape[0] == 0:
-        # Empty decimated branch: windows are all zeros, conv gives the bias.
-        pooled_row = activate(conv.activation, conv.b)[None, :]
-        return np.repeat(pooled_row, T, axis=0)
-    padded = np.concatenate([np.repeat(branch[0:1], win - 1, axis=0), branch], axis=0)
-    acts, _ = conv.forward(padded, mode="infer")
-    pooled = _sliding_max(acts, win - k + 1)  # one row per branch position
-    if factor is None:
-        return pooled
-    last = np.minimum(np.arange(T) // factor, branch.shape[0] - 1)
-    return pooled[last]
+
+    def __init__(self, artifact: ModelArtifact, period: float):
+        net: MultiBranch = artifact.network
+        w = artifact.window
+        self.convs = [b.layers[0] for b in net.branches]
+        self.wins = (w.raw_window,) * 3 + (w.down_window,) * 2
+        self.head = net.head
+        self.set_period(period)
+        self.seen = 0
+
+    def set_period(self, period: float) -> None:
+        """Step the rows from now on with *period*'s branch geometry."""
+        self.w_short, self.w_long, f_mid, f_long = featurize.branch_geometry(period)
+        self.factors = (1, 1, 1, f_mid, f_long)
+
+    def step_block(self, rows: np.ndarray) -> np.ndarray:
+        if not len(rows):
+            return np.zeros(0)
+        if not self.seen:
+            self.recent = _Tail(rows[:0])
+            self.branches = [_Branch(conv, win, rows[:1]) for conv, win in zip(self.convs, self.wins)]
+        views = (rows, *self._smooth(rows), rows, rows)
+        joined = np.concatenate([branch.step(view, self.seen, factor) for branch, view, factor
+                                 in zip(self.branches, views, self.factors)], axis=1)
+        self.seen += len(rows)
+        return self.head.forward(joined, mode="infer")[0].reshape(-1)
+
+    def _smooth(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The block's two smoothed views, from the kept rows plus the block."""
+        history = self.recent.extend(rows, self.w_long - 1)
+        return featurize.rolling_means(history, (self.w_short, self.w_long),
+                                       len(history) - len(rows))
 
 
-def _conv_predict_rows(artifact: ModelArtifact, rows: np.ndarray, period: float) -> np.ndarray:
-    branches = make_branch_set(rows, period)
-    T = branches.num_rows
-    w = artifact.window
-    net: MultiBranch = artifact.network
-    plan = [
-        (branches.raw, w.raw_window, None),
-        (branches.smooth_short, w.raw_window, None),
-        (branches.smooth_long, w.raw_window, None),
-        (branches.down_mid, w.down_window, branches.mid_factor),
-        (branches.down_long, w.down_window, branches.long_factor),
-    ]
-    pooled = [
-        _conv_branch_pooled(net.branches[i].layers[0], branch, win, T, factor)
-        for i, (branch, win, factor) in enumerate(plan)
-    ]
-    joined = np.concatenate(pooled, axis=-1)
-    probs, _ = net.head.forward(joined, mode="infer")
-    return probs.reshape(-1)
-
-
-def predict_rows(artifact: ModelArtifact, trace: Trace,
-                 encoder: ModelArtifact | None = None) -> np.ndarray:
-    """Per-row malicious probability, causal in the row index."""
+def predict_rows(artifact: ModelArtifact, trace: Trace) -> np.ndarray:
+    """Per-row malicious probability, causal in the row index. The conv
+    family steps a fresh _ConvEngine by the whole trace as one block."""
     if artifact.family not in ROW_FAMILIES:
         raise BadShapeError(f"{artifact.family} is not a per-row model")
-    rows = trace.features
-    enc = encoder or artifact.encoder
-    if enc is not None:
-        rows = encode_rows(enc, rows)
-    if rows.shape[1] != artifact.input_dim:
-        raise ShapeMismatchError(
-            f"model expects {artifact.input_dim} features, got {rows.shape[1]}"
-        )
-    if artifact.norm is not None:
-        rows = zscore_apply(artifact.norm, rows)
+    rows = _model_rows(artifact, trace.features)
     if artifact.family == "mlp":
         probs, _ = artifact.network.forward(rows, mode="infer")
         return probs.reshape(-1)
-    return _conv_predict_rows(artifact, rows, trace.meta.sample_period_s)
+    return _ConvEngine(artifact, trace.meta.sample_period_s).step_block(rows)
 
 
 def predict_rows_windowed(artifact: ModelArtifact, trace: Trace) -> np.ndarray:
     """Reference per-row path: materialize every causal window set.
 
     Mathematically identical to predict_rows for the conv family; kept as
-    the independent slow route for equivalence testing.
+    the independent slow route for equivalence testing. Its decimated
+    views keep the trailing partial block, the causal rule predict_rows
+    and the live stream follow.
     """
-    rows = trace.features
-    if artifact.encoder is not None:
-        rows = encode_rows(artifact.encoder, rows)
-    if artifact.norm is not None:
-        rows = zscore_apply(artifact.norm, rows)
+    rows = _model_rows(artifact, trace.features)
     branches = make_branch_set(rows, trace.meta.sample_period_s)
+    branches = replace(branches, down_mid=rows[::branches.mid_factor],
+                       down_long=rows[::branches.long_factor])
     w = artifact.window
     probs = np.empty(branches.num_rows)
     for i in range(branches.num_rows):
@@ -714,125 +768,40 @@ def encode_rows(encoder: ModelArtifact, rows: np.ndarray) -> np.ndarray:
 class RowStreamPredictor:
     """Incremental per-row probabilities for a live row stream.
 
-    Every push does a constant amount of work and the predictor holds a
-    bounded amount of state, however long the stream runs. For the conv
-    family each branch keeps its last ``kernel`` inputs and its last
-    ``win - kernel + 1`` conv activations (see _BranchStream): a push
-    computes one new conv position per full-rate branch, plus one per
-    decimated branch when that branch takes a sample (row i with
-    i % factor == 0). The smoothed inputs are means over one ring of the
-    latest normalized rows. Every ring starts filled from the first row,
-    the front-padding the batch path applies.
-
-    The branch geometry follows the stream's own sample period: the gap
-    between the first two rows' timestamps (``row.t``), the rule
-    telemetry.parse_trace_csv applies to a batch trace. Rows without a
+    A conv push steps the _ConvEngine that predict_rows steps by a whole
+    trace by one row, so the stream gives predict_rows's probabilities on
+    every row (a property test pins this), with constant work per row and
+    bounded state. The branch geometry follows the stream's own sample
+    period: the gap between the first two rows' timestamps (``row.t``), the
+    rule telemetry.parse_trace_csv applies to a batch trace. Rows without a
     timestamp (bare arrays) assume telemetry.DEFAULT_SAMPLE_PERIOD_S.
-
-    Matches the batch predict_rows at any period (a property test pins
-    this) except on the final ``T mod factor`` rows of a finished trace,
-    where the batch decimated branch (floor-length rule) lacks the
-    newest decimated sample the stream already has.
     """
 
     def __init__(self, artifact: ModelArtifact):
         if artifact.family not in ROW_FAMILIES:
             raise BadShapeError(f"{artifact.family} cannot stream rows")
         self.artifact = artifact
-        self.rows_seen = 0
+        self._engine = None
 
     def push(self, row) -> float:
-        features = row.features if hasattr(row, "features") else np.asarray(row)
-        x = np.asarray(features, dtype=np.float64)
-        if self.artifact.encoder is not None:
-            x = encode_rows(self.artifact.encoder, x[None, :])[0]
-        if self.artifact.norm is not None:
-            x = zscore_apply(self.artifact.norm, x)
+        features = row.features if hasattr(row, "features") else row
+        x = _model_rows(self.artifact, np.asarray(features, dtype=np.float64)[None, :])
         if self.artifact.family == "mlp":
             p, _ = self.artifact.network.forward(x, mode="infer")
             return float(p.reshape(-1)[0])
-        return self._push_conv(x, getattr(row, "t", None))
+        return float(self._conv_engine(getattr(row, "t", None)).step_block(x)[0])
 
-    def _push_conv(self, x: np.ndarray, t: float | None) -> float:
-        net: MultiBranch = self.artifact.network
-        i = self.rows_seen
-        if i == 0:
-            # Every branch equals x on the first row: no geometry needed yet.
-            w = self.artifact.window
-            wins = (w.raw_window,) * 3 + (w.down_window,) * 2
-            self._branches = [_BranchStream(b.layers[0], win, x)
-                              for b, win in zip(net.branches, wins)]
-            self._first = (t, x)
-        else:
-            if i == 1:
-                self._set_geometry(t)
-            self._recent.push(x)
-            raw, smooth_short, smooth_long, down_mid, down_long = self._branches
-            raw.step(x)
-            smooth_short.step(self._recent.tail(min(i + 1, self._w_short)).mean(axis=0))
-            smooth_long.step(self._recent.tail(min(i + 1, self._w_long)).mean(axis=0))
-            if i % self._f_mid == 0:
-                down_mid.step(x)
-            if i % self._f_long == 0:
-                down_long.step(x)
-        self.rows_seen = i + 1
-        joined = np.concatenate([b.pooled for b in self._branches])
-        p, _ = net.head.forward(joined, mode="infer")
-        return float(p.reshape(-1)[0])
-
-    def _set_geometry(self, t: float | None) -> None:
-        t0, x0 = self._first
-        period = DEFAULT_SAMPLE_PERIOD_S
-        if t is not None and t0 is not None:
-            period = float(t) - float(t0)
+    def _conv_engine(self, t) -> _ConvEngine:
+        """The stream's engine: row 0 starts it (row 0 is the same in every
+        branch at any period), row 1 sets its period."""
+        if self._engine is None:
+            self._engine, self._t0 = _ConvEngine(self.artifact, DEFAULT_SAMPLE_PERIOD_S), t
+        elif self._engine.seen == 1 and t is not None and self._t0 is not None:
+            period = float(t) - float(self._t0)
             if period <= 0:
-                raise NonMonotonicTimeError(f"time does not increase at row 1 ({t0} -> {t})")
-        self._w_short, self._w_long, self._f_mid, self._f_long = (
-            featurize.branch_geometry(period))
-        self._recent = _RowRing(max(self._w_short, self._w_long), x0)
-
-
-class _RowRing:
-    """The last *size* rows of a stream, each stored twice, so that any
-    tail of them is one contiguous slice. Starts full of *fill*."""
-
-    def __init__(self, size: int, fill: np.ndarray):
-        self.size = size
-        self.buf = np.repeat(fill[None, :], 2 * size, axis=0)
-        self.next = 0
-
-    def push(self, x: np.ndarray) -> None:
-        self.buf[self.next] = x
-        self.buf[self.next + self.size] = x
-        self.next = (self.next + 1) % self.size
-
-    def tail(self, n: int) -> np.ndarray:
-        end = self.next + self.size
-        return self.buf[end - n : end]
-
-
-class _BranchStream:
-    """One conv branch of a stream: its last k inputs and the conv
-    activations of its last win-k+1 positions, whose column-wise max is
-    the branch's pooled output for the current window."""
-
-    def __init__(self, conv: Conv1D, win: int, x0: np.ndarray):
-        self.conv = conv
-        self.inputs = _RowRing(conv.kernel_size, x0)
-        first = self._newest_position()
-        self.acts = np.repeat(first[None, :], win - conv.kernel_size + 1, axis=0)
-        self.slot = 0
-        self.pooled = first
-
-    def _newest_position(self) -> np.ndarray:
-        acts, _ = self.conv.forward(self.inputs.tail(self.conv.kernel_size), mode="infer")
-        return acts[0]
-
-    def step(self, x: np.ndarray) -> None:
-        self.inputs.push(x)
-        self.acts[self.slot] = self._newest_position()
-        self.slot = (self.slot + 1) % self.acts.shape[0]
-        self.pooled = self.acts.max(axis=0)
+                raise NonMonotonicTimeError(f"time does not increase at row 1 ({self._t0} -> {t})")
+            self._engine.set_period(period)
+        return self._engine
 
 
 class SequenceStreamPredictor:

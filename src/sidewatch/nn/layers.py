@@ -28,17 +28,16 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below: exp never
+    # overflows, and as e <= 1, max(e, z >= 0) is either numerator.
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def activate(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z, in place where it can be (z must be a fresh array)."""
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
     if name == "linear":
@@ -129,7 +128,9 @@ class Dense(Layer):
         xb, squeezed = _promote(x, 1, "Dense input")
         if xb.shape[1] != self.in_dim:
             raise ShapeMismatchError(f"Dense expects {self.in_dim} inputs, got {xb.shape[1]}")
-        y = activate(self.activation, xb @ self.W + self.b)
+        z = xb @ self.W
+        z += self.b
+        y = activate(self.activation, z)
         cache = {"layer": self, "x": xb, "y": y, "squeezed": squeezed}
         return (y[0] if squeezed else y), cache
 
@@ -200,7 +201,7 @@ class Conv1D(Layer):
         if xb.shape[1] == k:
             # One position (a live stream's step): the kernel-major row is
             # the input's own row-major layout.
-            return np.ascontiguousarray(xb).reshape(xb.shape[0], 1, k * xb.shape[2])
+            return xb.reshape(xb.shape[0], 1, k * xb.shape[2])
         sw = np.lib.stride_tricks.sliding_window_view(xb, k, axis=1)  # [B, P, C, k]
         cols = sw.transpose(0, 1, 3, 2).reshape(
             xb.shape[0], xb.shape[1] - k + 1, k * xb.shape[2])
@@ -215,7 +216,9 @@ class Conv1D(Layer):
             raise KernelTooLongError(f"kernel {self.kernel_size} > input length {T}")
         cols = self._cols(xb)
         Wm = self.W.reshape(self.kernel_size * self.in_channels, self.filters)
-        y = activate(self.activation, cols @ Wm + self.b)
+        z = cols @ Wm
+        z += self.b
+        y = activate(self.activation, z)
         cache = {"layer": self, "cols": cols, "y": y, "squeezed": squeezed, "T": T}
         return (y[0] if squeezed else y), cache
 

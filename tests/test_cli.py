@@ -230,6 +230,26 @@ class TestTrainEval:
         effective = json.loads((out / "effective_config.json").read_text())
         assert effective["hidden"] == [8, 4] and effective["lr"] == 0.002
 
+    def test_train_loads_the_encoder_once(self, cli_corpus, tmp_path, monkeypatch):
+        root, corpus, _ = cli_corpus
+        encoder_path = tmp_path / "encoder.json"
+        models.save_model(models.build_autoencoder(8, 3, seed=0), encoder_path)
+        loads = []
+        load_model = models.load_model
+
+        def counting(path):
+            loads.append(path)
+            return load_model(path)
+
+        monkeypatch.setattr(models, "load_model", counting)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--corpus", str(corpus), "--family", "mlp", "--hidden", "4",
+                       "--epochs", "1", "--encoder", str(encoder_path), "--out", str(out)])
+        assert rc == EXIT_OK
+        assert loads == [encoder_path]
+        trained = load_model(out / "model.json")
+        assert trained.input_dim == 3 and trained.encoder.hyper["bottleneck"] == 3
+
 
 class TestSweepCommand:
     def test_threshold_sweep_curve_rows(self, cli_corpus, tmp_path):

@@ -409,10 +409,9 @@ class TestPrediction:
         np.testing.assert_allclose(p1[:cut], p2[:cut], atol=1e-12)
 
     def test_appending_rows_preserves_earlier_predictions(self):
-        # Causality under append. Decimated branches use the floor-length
-        # rule, so rows in the trailing partial block gain a fresher
-        # decimation point when the trace grows; every row before that
-        # block must keep its probability bit-for-bit.
+        # Causality under append: a decimated branch samples row i when
+        # i % factor == 0, so every row of the shorter trace, its trailing
+        # partial block included, keeps its probability bit for bit.
         rng = np.random.default_rng(21)
         short = random_trace(rng, T=115, F=2)
         m = build_conv_multibranch(2, filters=3, kernel=4, dense_units=4,
@@ -423,10 +422,7 @@ class TestPrediction:
         longer.features[:] = longer_rows
         p_short = predict_rows(m, short)
         p_long = predict_rows(m, longer)
-        bs = featurize.make_branch_set(short.features, 0.5)
-        tail_start = min(bs.down_mid.shape[0] * bs.mid_factor,
-                         bs.down_long.shape[0] * bs.long_factor)
-        np.testing.assert_array_equal(p_short[:tail_start], p_long[:tail_start])
+        np.testing.assert_array_equal(p_short, p_long[:115])
 
         mlp = build_mlp(2, hidden=(4,), seed=0)
         mlp.norm = m.norm
@@ -473,13 +469,6 @@ class TestRowStream:
         predictor = RowStreamPredictor(m)
         return np.array([predictor.push(row) for row in trace.rows()])
 
-    @staticmethod
-    def _comparable_rows(T: int, period: float) -> int:
-        # The batch decimated branches drop the trailing partial block, so
-        # the last T mod factor rows differ by design (see RowStreamPredictor).
-        _, _, f_mid, f_long = featurize.branch_geometry(period)
-        return T - max(T % f_mid, T % f_long)
-
     @given(data=st.data(), period=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
            F=st.integers(1, 4), kernel=st.integers(1, 5),
            raw_extra=st.integers(0, 8), down_extra=st.integers(0, 6),
@@ -490,7 +479,7 @@ class TestRowStream:
         down_window = kernel + down_extra
         long_factor = featurize.branch_geometry(period)[3]
         # From shorter than the kernel to past the point where the
-        # decimated activation rings wrap.
+        # decimated branches' windows fill.
         T = data.draw(st.integers(1, (down_window + 2) * long_factor), label="T")
         rng = np.random.default_rng(seed)
         F_raw = F + 1 if with_encoder else F
@@ -506,9 +495,8 @@ class TestRowStream:
             codes = encode_rows(m.encoder, trace.features)
         # Two shifted copies: zscore_fit needs two rows and T may be 1.
         m.norm = featurize.zscore_fit(np.vstack([codes, codes + 1.0]))
-        n = self._comparable_rows(T, period)
-        np.testing.assert_allclose(self._stream(m, trace)[:n],
-                                   predict_rows(m, trace)[:n], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(self._stream(m, trace), predict_rows(m, trace),
+                                   rtol=0, atol=1e-9)
 
     def test_bare_arrays_assume_the_default_period(self):
         rng = np.random.default_rng(30)
@@ -563,6 +551,85 @@ class TestRowStream:
             calls.clear()
             predictor.push(SampleRow(t=0.5 * i, features=rows[i % 64], label=0))
             assert len(calls) == 3 + (i % f_mid == 0) + (i % f_long == 0) <= 5
+
+
+class TestConvEngine:
+    """models._ConvEngine: predict_rows steps it by a whole trace, the live
+    stream by one row at a time."""
+
+    @staticmethod
+    def _model(F, kernel, raw_window, down_window, seed=0):
+        m = build_conv_multibranch(F, filters=3, kernel=kernel, dense_units=4,
+                                   window=WindowConfig(raw_window, down_window), seed=seed)
+        m.norm = featurize.NormStats(mean=np.zeros(F), std=np.ones(F))
+        return m
+
+    @staticmethod
+    def _stepped(m, rows, period, sizes):
+        engine = models._ConvEngine(m, period)
+        ends = np.cumsum(sizes)
+        return np.concatenate([engine.step_block(rows[end - size:end])
+                               for size, end in zip(sizes, ends)])
+
+    def _check_split(self, m, rows, period, sizes):
+        assert sum(sizes) == len(rows)
+        whole = models._ConvEngine(m, period).step_block(rows)
+        np.testing.assert_allclose(self._stepped(m, rows, period, sizes), whole,
+                                   rtol=0, atol=1e-9)
+
+    @given(data=st.data(), period=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+           F=st.integers(1, 3), kernel=st.integers(1, 5), raw_extra=st.integers(0, 6),
+           down_extra=st.integers(0, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_into_blocks_equals_one_block(self, data, period, F, kernel,
+                                                    raw_extra, down_extra, seed):
+        down_window = kernel + down_extra
+        T = data.draw(st.integers(1, (down_window + 2) * featurize.branch_geometry(period)[3]),
+                      label="T")
+        if data.draw(st.booleans(), label="blocks of one row"):
+            sizes = [1] * T
+        else:
+            cuts = sorted(data.draw(st.sets(st.integers(1, T - 1)), label="cuts")) if T > 1 else []
+            sizes = list(np.diff([0, *cuts, T]))
+        rows = np.random.default_rng(seed).normal(size=(T, F)) * 3.0
+        self._check_split(self._model(F, kernel, kernel + raw_extra, down_window, seed),
+                          rows, period, sizes)
+
+    @pytest.mark.parametrize("kernel, raw_window, sizes", [
+        (4, 16, [1] * 60),                   # blocks of one row
+        (4, 16, [1, 9, 11, 4, 35]),          # rows 1-9 and 21-24 hold no decimated sample
+        (4, 16, [3, 4]),                     # shorter than both decimation factors
+        (1, 16, [7, 13, 40]),                # kernel 1: no inputs kept
+        (4, 4, [5, 30, 25]),                 # raw window == kernel: no activations kept
+    ])
+    def test_named_splits_equal_one_block(self, kernel, raw_window, sizes):
+        # At 0.5 s the decimation factors are 10 and 25.
+        rows = np.random.default_rng(40).normal(size=(sum(sizes), 2)) * 3.0
+        self._check_split(self._model(2, kernel, raw_window, 8), rows, 0.5, sizes)
+
+    @pytest.mark.parametrize("T", [1, 7, 60, 400])
+    def test_predict_rows_convolves_each_branch_once(self, monkeypatch, T):
+        m = self._model(2, 4, 16, 8)
+        calls = []
+        forward = Conv1D.forward
+
+        def counting(layer, *args, **kwargs):
+            calls.append(layer)
+            return forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(Conv1D, "forward", counting)
+        predict_rows(m, random_trace(np.random.default_rng(41), T=T, F=2))
+        assert sorted(map(id, calls)) == sorted(id(b.layers[0]) for b in m.network.branches)
+
+    def test_empty_block_gives_no_probabilities(self):
+        m = self._model(2, 4, 16, 8)
+        rows = np.random.default_rng(42).normal(size=(9, 2))
+        engine = models._ConvEngine(m, 0.5)
+        assert engine.step_block(np.zeros((0, 2))).shape == (0,)
+        first = engine.step_block(rows[:4])
+        assert engine.step_block(np.zeros((0, 2))).shape == (0,)
+        np.testing.assert_allclose(np.concatenate([first, engine.step_block(rows[4:])]),
+                                   models._ConvEngine(m, 0.5).step_block(rows), rtol=0, atol=1e-9)
 
 
 class TestEncoders:
