@@ -21,12 +21,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, evalharness, models, synthgen, telemetry
-from .detector import DetectorConfig, StreamState, advance_clock, stream_step
+from .detector import (DetectorConfig, StreamState, advance_clock, advance_clock_block,
+                       stream_step)
 from .errors import SidewatchError
 from .models import TrainConfig
 from .nn import OptimizerSpec
-from .telemetry import MANIFEST_FILENAME
+from .telemetry import MANIFEST_FILENAME, SampleRow
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -335,45 +338,92 @@ def _cmd_sweep(args) -> int:
 # --- detect --------------------------------------------------------------------
 
 
-def _read_rows(source, follow: bool, poll_s: float = 0.2):
-    """Yield (index, SampleRow) from a trace CSV path or '-' (stdin).
+# The most rows detect scores as one block: it bounds the memory and the
+# work of a block under --follow.
+BLOCK_ROWS = 1024
+_READ_BYTES = 1 << 16
 
-    Cells are read by the trace file rules (telemetry.RowParser). When
-    following a file, a line is parsed only once its newline has arrived;
-    otherwise a last line without one is parsed as it stands.
+
+def _line_blocks(fh, wait: bool, drain: bool, poll_s: float):
+    """Yield lists of at most BLOCK_ROWS complete lines (bytes): each what
+    the source holds now. A file is read to its current end (*drain*), a
+    pipe once per block. With *wait*, a line is given only once its line
+    end has arrived; otherwise a last line without one is given as it stands.
     """
-    if source == "-":
-        fh = sys.stdin
-        close = False
-    else:
-        fh = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    wait = follow and source != "-"
+    lines, partial, ended = [], b"", False
+    while lines or not ended:
+        if len(lines) < BLOCK_ROWS and not ended:
+            data = fh.read1(_READ_BYTES)
+            if data:
+                got = (partial + data).splitlines(keepends=True)
+                partial = b"" if got[-1].endswith((b"\n", b"\r")) else got.pop()
+                lines += got
+                if drain:
+                    continue
+            elif not wait:
+                lines += [partial] if partial else []
+                ended = True
+            elif not lines:
+                time.sleep(poll_s)  # the writer has not finished a line yet
+                continue
+        if lines:
+            yield lines[:BLOCK_ROWS]
+            del lines[:BLOCK_ROWS]
+
+
+def _read_blocks(source, follow: bool, poll_s: float = 0.2):
+    """Yield (index, times, features) blocks of the rows of a trace CSV
+    path or '-' (stdin): index is the block's first row, times [n] and
+    features [n, F] its rows' (see _line_blocks for what a block holds).
+
+    Cells are read by the trace file rules (telemetry.RowParser), a block
+    at a time. A bad row (ragged, or a time cell that is not a number)
+    ends its block: the rows before it are yielded, then its error raised.
+    """
+    stdin = source == "-"
+    fh = sys.stdin.buffer if stdin else open(source, "rb")
     try:
         parser = None
         index = 0
-        partial = ""
-        while True:
-            line = partial + fh.readline()
-            if wait and not line.endswith("\n"):
-                partial = line  # the writer has not finished this line yet
-                time.sleep(poll_s)
+        for lines in _line_blocks(fh, follow and not stdin, not stdin, poll_s):
+            rows = []
+            for line in lines:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                cells = next(csv.reader([text]))
+                if parser is None:
+                    parser = telemetry.RowParser(cells, where=str(source))
+                else:
+                    rows.append(cells)
+            if not rows:
                 continue
-            partial = ""
-            if not line:
-                return
-            if not line.strip():
-                continue
-            cells = next(csv.reader([line]))
-            if parser is None:
-                parser = telemetry.RowParser(cells, where=str(source))
-                continue
-            row = parser.parse(cells)
-            index += 1
-            yield index - 1, row
+            times, features, error = _parse_block(parser, rows)
+            if len(times):
+                yield index, times, features
+            if error is not None:
+                raise error
+            index += len(rows)
     finally:
-        if close:
+        if not stdin:
             fh.close()
+
+
+def _parse_block(parser: telemetry.RowParser, rows: list[list[str]]):
+    """(times, features, error): the rows up to the first bad one, and its
+    error (None when every row parses)."""
+    try:
+        times, features, _ = parser.parse_rows(rows)
+        return times, features, None
+    except SidewatchError:
+        pass
+    good = []
+    for cells in rows:
+        try:
+            good.append(parser.parse(cells))
+        except SidewatchError as exc:
+            return (np.array([row.t for row in good]),
+                    np.array([row.features for row in good]), exc)
 
 
 # A checkpoint's fields and the JSON types each must have.
@@ -425,26 +475,36 @@ def _cmd_detect(args) -> int:
 
     events_fh = open(args.events, "a", encoding="utf-8") if args.events else sys.stdout
     rows_read = 0
+    events = []  # the event lines of the block, written when it is done
     try:
-        for index, row in _read_rows(args.source, args.follow):
-            rows_read = index + 1
+        for first, times, features in _read_blocks(args.source, args.follow):
+            # Every row's time is checked, scored or not; a block is scored
+            # up to its first row out of time order.
+            times = times.tolist()
+            n = advance_clock_block(state, times)
             # Rows before the checkpoint still replay through the predictor
             # so its feature history (windows, chunk buffers) is rebuilt;
-            # only the detector counter skips them. Every row's time is
-            # checked, scored or not.
-            prob = predictor.push(row)
-            if index < start_index or prob is None:
+            # only the detector counter skips them.
+            probs = predictor.push_block(features[:n], times[:n]) if n else []
+            for index, t, prob in zip(range(first, first + n), times, probs):
+                if index >= start_index and prob is not None:
+                    event = stream_step(state, prob)
+                    if event != "none":
+                        events.append(json.dumps({"event": event, "row": index, "t": t,
+                                                  "model": artifact.family, "probability": prob},
+                                                 sort_keys=True) + "\n")
+                rows_read = index + 1
+            _write_events(events_fh, events)
+            if n < len(times):
+                # The row out of order goes on alone, to fail as it would
+                # in a one-row block.
+                row = SampleRow(t=times[n], features=features[n], label=0)
+                predictor.push(row)
                 advance_clock(state, row)
-                continue
-            event = stream_step(state, row, prob=prob)
-            if event != "none":
-                record = {"event": event, "row": index, "t": row.t,
-                          "model": artifact.family, "probability": prob}
-                events_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                events_fh.flush()
     except KeyboardInterrupt:
         pass
     finally:
+        _write_events(events_fh, events)
         if args.checkpoint:
             _write_checkpoint(args.checkpoint, {
                 "rows_seen": state.rows_seen,
@@ -456,6 +516,14 @@ def _cmd_detect(args) -> int:
         if events_fh is not sys.stdout:
             events_fh.close()
     return EXIT_ALERT if state.alerted or state.alert_row is not None else EXIT_OK
+
+
+def _write_events(fh, lines: list[str]) -> None:
+    """Write the event lines with one write and one flush, and clear them."""
+    if lines:
+        fh.write("".join(lines))
+        fh.flush()
+        lines.clear()
 
 
 # --- inspect -------------------------------------------------------------------

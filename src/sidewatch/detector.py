@@ -123,6 +123,19 @@ def advance_clock(state: StreamState, row: SampleRow) -> None:
     state.last_t = row.t
 
 
+def advance_clock_block(state: StreamState, times: list[float]) -> int:
+    """Move the stream's clock over the leading *times* that each come
+    later than the one before; returns how many. The row after them, if
+    any, is out of order: advance_clock raises on it."""
+    n = 0
+    for t in times:
+        if state.last_t is not None and t <= state.last_t:
+            break
+        state.last_t = t
+        n += 1
+    return n
+
+
 def stream_step(state: StreamState, row, prob: float | None = None) -> str:
     """Advance the detector one row; returns the emitted event.
 

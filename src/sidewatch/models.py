@@ -460,14 +460,20 @@ def _fit_norm_if_missing(artifact: ModelArtifact, rows: np.ndarray) -> None:
         artifact.norm = zscore_fit(rows)
 
 
-def _model_rows(artifact: ModelArtifact, rows: np.ndarray) -> np.ndarray:
-    """Rows as the model sees them: encoded (if any), width-checked, z-scored."""
+def _encoded_rows(artifact: ModelArtifact, rows: np.ndarray) -> np.ndarray:
+    """Rows in the model's input space: encoded (if any) and width-checked."""
     if artifact.encoder is not None:
         rows = encode_rows(artifact.encoder, rows)
     if rows.shape[-1] != artifact.input_dim:
         raise ShapeMismatchError(
             f"model expects {artifact.input_dim} features, got {rows.shape[-1]}"
         )
+    return rows
+
+
+def _model_rows(artifact: ModelArtifact, rows: np.ndarray) -> np.ndarray:
+    """Rows as the model sees them: encoded (if any), width-checked, z-scored."""
+    rows = _encoded_rows(artifact, rows)
     if artifact.norm is not None:
         rows = zscore_apply(artifact.norm, rows)
     return rows
@@ -489,10 +495,7 @@ def _row_batches(artifact: ModelArtifact, X, y, config: TrainConfig, loss: str) 
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise NoDataError(f"need a nonempty [N, F] row matrix, got shape {X.shape}")
-    if artifact.encoder is not None:
-        X = encode_rows(artifact.encoder, X)
-    if X.shape[1] != artifact.input_dim:
-        raise ShapeMismatchError(f"model expects {artifact.input_dim} features, got {X.shape[1]}")
+    X = _encoded_rows(artifact, X)
     _fit_norm_if_missing(artifact, X)
     X = zscore_apply(artifact.norm, X)
     targets = X if y is None else np.asarray(y, dtype=np.float64)
@@ -546,16 +549,10 @@ def _conv_batches(artifact: ModelArtifact, traces: list[Trace], config: TrainCon
     """One minibatch per trace: config.rows_per_trace sampled rows' windows."""
     if not traces:
         raise NoDataError("no training traces")
-    all_rows = np.vstack([t.features for t in traces])
-    if artifact.encoder is not None:
-        all_rows = encode_rows(artifact.encoder, all_rows)
-    if all_rows.shape[1] != artifact.input_dim:
-        raise ShapeMismatchError(
-            f"model expects {artifact.input_dim} features, got {all_rows.shape[1]}"
-        )
-    _fit_norm_if_missing(artifact, all_rows)
-    prepared = [(make_branch_set(_model_rows(artifact, t.features), t.meta.sample_period_s),
-                 t.labels) for t in traces]
+    encoded = [_encoded_rows(artifact, t.features) for t in traces]
+    _fit_norm_if_missing(artifact, np.vstack(encoded))
+    prepared = [(make_branch_set(zscore_apply(artifact.norm, rows), t.meta.sample_period_s),
+                 t.labels) for rows, t in zip(encoded, traces)]
 
     def train(order, rng):
         for ti in order:
@@ -768,13 +765,14 @@ def encode_rows(encoder: ModelArtifact, rows: np.ndarray) -> np.ndarray:
 class RowStreamPredictor:
     """Incremental per-row probabilities for a live row stream.
 
-    A conv push steps the _ConvEngine that predict_rows steps by a whole
-    trace by one row, so the stream gives predict_rows's probabilities on
-    every row (a property test pins this), with constant work per row and
-    bounded state. The branch geometry follows the stream's own sample
-    period: the gap between the first two rows' timestamps (``row.t``), the
-    rule telemetry.parse_trace_csv applies to a batch trace. Rows without a
-    timestamp (bare arrays) assume telemetry.DEFAULT_SAMPLE_PERIOD_S.
+    push_block steps the _ConvEngine that predict_rows steps by a whole
+    trace by the next block of rows, and push by one row, so the stream
+    gives predict_rows's probabilities on every row (a property test pins
+    this), however it is cut into blocks, from bounded state. The branch
+    geometry follows the stream's own sample period: the gap between its
+    first two timestamps, in whichever blocks they come; the rule
+    telemetry.parse_trace_csv applies to a batch trace. Rows without
+    timestamps (bare arrays) assume telemetry.DEFAULT_SAMPLE_PERIOD_S.
     """
 
     def __init__(self, artifact: ModelArtifact):
@@ -784,19 +782,30 @@ class RowStreamPredictor:
         self._engine = None
 
     def push(self, row) -> float:
+        """The next row's probability; *row* is a SampleRow or a bare [F] array."""
         features = row.features if hasattr(row, "features") else row
-        x = _model_rows(self.artifact, np.asarray(features, dtype=np.float64)[None, :])
-        if self.artifact.family == "mlp":
-            p, _ = self.artifact.network.forward(x, mode="infer")
-            return float(p.reshape(-1)[0])
-        return float(self._conv_engine(getattr(row, "t", None)).step_block(x)[0])
+        t = getattr(row, "t", None)
+        return self.push_block(np.asarray(features, dtype=np.float64)[None, :],
+                               None if t is None else (t,))[0]
 
-    def _conv_engine(self, t) -> _ConvEngine:
+    def push_block(self, features: np.ndarray, times=None) -> list[float]:
+        """The probabilities of the next n rows, *features* [n, F] (n >= 1)
+        with their timestamps *times* [n], or None for bare rows."""
+        x = _model_rows(self.artifact, features)
+        if self.artifact.family == "mlp":
+            probs, _ = self.artifact.network.forward(x, mode="infer")
+            return probs.reshape(-1).tolist()
+        return self._conv_engine(times, len(x)).step_block(x).tolist()
+
+    def _conv_engine(self, times, n: int) -> _ConvEngine:
         """The stream's engine: row 0 starts it (row 0 is the same in every
         branch at any period), row 1 sets its period."""
         if self._engine is None:
-            self._engine, self._t0 = _ConvEngine(self.artifact, DEFAULT_SAMPLE_PERIOD_S), t
-        elif self._engine.seen == 1 and t is not None and self._t0 is not None:
+            self._engine = _ConvEngine(self.artifact, DEFAULT_SAMPLE_PERIOD_S)
+            self._t0 = None if times is None else times[0]
+        seen = self._engine.seen
+        if seen < 2 <= seen + n and times is not None and self._t0 is not None:
+            t = times[1 - seen]
             period = float(t) - float(self._t0)
             if period <= 0:
                 raise NonMonotonicTimeError(f"time does not increase at row 1 ({self._t0} -> {t})")
@@ -807,8 +816,10 @@ class RowStreamPredictor:
 class SequenceStreamPredictor:
     """Buffers a live row stream into model-length chunks.
 
-    push() returns a probability only when a chunk completes, else None;
-    the consecutive-sample counter then counts chunk predictions.
+    A chunk's probability falls on the row that completes it; every other
+    row gets None, and the consecutive-sample counter counts chunk
+    predictions. push_block scores every chunk a block completes with one
+    predict_sequences call; push is its one-row case.
     """
 
     def __init__(self, artifact: ModelArtifact):
@@ -817,18 +828,29 @@ class SequenceStreamPredictor:
         if artifact.sequence_length is None:
             raise BadShapeError("sequence model has no configured length (untrained?)")
         self.artifact = artifact
-        self.buffer: list[np.ndarray] = []
+        self._parts: list[np.ndarray] = []  # the rows of the unfinished chunk
+        self._buffered = 0
 
     def push(self, row) -> float | None:
-        features = row.features if hasattr(row, "features") else np.asarray(row)
-        self.buffer.append(np.asarray(features, dtype=np.float64))
-        L = self.artifact.sequence_length
-        if len(self.buffer) < L:
-            return None
-        chunk = np.stack(self.buffer)
-        self.buffer = []
-        batch = SequenceBatch(sequences=chunk[None, ...], labels=np.zeros(1, dtype=np.int64))
-        return float(predict_sequences(self.artifact, batch)[0])
+        features = row.features if hasattr(row, "features") else row
+        return self.push_block(np.asarray(features, dtype=np.float64)[None, :])[0]
+
+    def push_block(self, features: np.ndarray, times=None) -> list[float | None]:
+        """The next n rows' probabilities, *features* [n, F]; *times* is
+        accepted for RowStreamPredictor's signature and not used."""
+        L, k, n = self.artifact.sequence_length, self._buffered, len(features)
+        done = (k + n) // L
+        probs = [None] * n
+        if done:
+            rows = np.concatenate(self._parts + [features[:done * L - k]])
+            batch = SequenceBatch(sequences=rows.reshape(done, L, -1),
+                                  labels=np.zeros(done, dtype=np.int64))
+            probs[L - 1 - k::L] = predict_sequences(self.artifact, batch).tolist()
+            self._parts, self._buffered, features = [], 0, features[done * L - k:]
+        if len(features):
+            self._parts.append(np.array(features, dtype=np.float64))
+            self._buffered += len(features)
+        return probs
 
 
 # --- the family table -------------------------------------------------------------

@@ -372,7 +372,7 @@ def parse_trace_csv(
 
 
 class RowParser:
-    """Parse a trace CSV one data row at a time, by parse_trace_csv's rules.
+    """Parse a trace CSV's data rows as they arrive, by parse_trace_csv's rules.
 
     For live streams: a feature or label cell that is not a finite number
     takes the previous row's value (0 on the first row), a time cell that
@@ -387,14 +387,22 @@ class RowParser:
         self._prev_features = np.zeros(len(self.cols.feature_idx))
         self._prev_label = 0
 
-    def parse(self, cells: list[str]) -> SampleRow:
+    def parse_rows(self, rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Times [n], features [n, F] and labels [n] of the next n data rows,
+        decoded together. A bad row raises its error and parses nothing."""
         times, features, labels = _decode_rows(
-            self.cols, [cells], self.where, self.rows, self._prev_features, self._prev_label)
-        t = self.rows * DEFAULT_SAMPLE_PERIOD_S if times is None else float(times[0])
-        self.rows += 1
-        self._prev_features = features[0]
-        self._prev_label = int(labels[0])
-        return SampleRow(t=t, features=features[0], label=self._prev_label)
+            self.cols, rows, self.where, self.rows, self._prev_features, self._prev_label)
+        if times is None:
+            times = np.arange(self.rows, self.rows + len(rows)) * DEFAULT_SAMPLE_PERIOD_S
+        self.rows += len(rows)
+        self._prev_features = features[-1]
+        self._prev_label = int(labels[-1])
+        return times, features, labels
+
+    def parse(self, cells: list[str]) -> SampleRow:
+        """The next data row: parse_rows of one row."""
+        times, features, labels = self.parse_rows([cells])
+        return SampleRow(t=float(times[0]), features=features[0], label=int(labels[0]))
 
 
 def write_trace_csv(trace: Trace, path: str | Path, schema: TraceSchema | None = None) -> None:

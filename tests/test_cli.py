@@ -470,19 +470,20 @@ class TestDetect:
                     fh.write(",4\n")
 
         monkeypatch.setattr(cli.time, "sleep", writer_catches_up)
-        rows = cli._read_rows(str(path), follow=True, poll_s=0.01)
-        index, row = next(rows)
-        assert index == 0 and row.features.tolist() == [1.0, 2.0]
+        blocks = cli._read_blocks(str(path), follow=True, poll_s=0.01)
+        index, times, features = next(blocks)
+        assert index == 0 and features.tolist() == [[1.0, 2.0]]
         with open(path, "a") as fh:
             fh.write(",3")  # still unfinished
-        index, row = next(rows)
-        assert index == 1 and row.t == 0.5 and row.features.tolist() == [3.0, 4.0]
+        index, times, features = next(blocks)
+        assert index == 1 and times.tolist() == [0.5] and features.tolist() == [[3.0, 4.0]]
         assert waits == [0.01, 0.01]
 
     def test_last_line_without_newline_is_parsed_without_follow(self, tmp_path):
         path = tmp_path / "done.csv"
         path.write_text("time_s,a,b\n0.0,1,2\n0.5,3,4")
-        rows = [row.features.tolist() for _, row in cli._read_rows(str(path), follow=False)]
+        rows = [row for _, _, features in cli._read_blocks(str(path), follow=False)
+                for row in features.tolist()]
         assert rows == [[1.0, 2.0], [3.0, 4.0]]
 
 

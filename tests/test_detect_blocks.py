@@ -1,0 +1,293 @@
+"""`sidewatch detect` scores the rows it has as blocks: the same results as
+a per-row loop, bounded memory, and a checkpoint that counts only the rows
+whose step completed."""
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sidewatch import cli, models, telemetry
+from sidewatch.cli import EXIT_ALERT, EXIT_DATA, EXIT_OK
+from sidewatch.detector import DetectorConfig, StreamState, advance_clock, stream_step
+from sidewatch.errors import SidewatchError
+from sidewatch.models import WindowConfig
+
+F = 3
+HEADER = "time_s,f0,f1,f2,label"
+
+
+# --- the per-row reference -------------------------------------------------------
+
+
+def _reference_rows(source):
+    """(index, SampleRow) per data row, one line at a time."""
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        parser = None
+        index = 0
+        for line in fh:
+            if not line.strip():
+                continue
+            cells = next(csv.reader([line]))
+            if parser is None:
+                parser = telemetry.RowParser(cells, where=str(source))
+                continue
+            yield index, parser.parse(cells)
+            index += 1
+
+
+def reference_detect(model, source, cfg: DetectorConfig, checkpoint=None):
+    """`sidewatch detect` as a per-row loop: each row is parsed, pushed,
+    clock-checked and stepped alone, and counted once its step completes.
+    Returns (exit code, stderr, checkpoint dict or None, event records)."""
+    artifact = models.load_model(model)
+    predictor = models.stream_predictor(artifact)
+    state = StreamState(cfg=cfg)
+    start_index = 0
+    if checkpoint is not None and Path(checkpoint).exists():
+        saved = json.loads(Path(checkpoint).read_text())
+        state.rows_seen, state.run = saved["rows_seen"], saved["run"]
+        state.alerted, state.alert_row = saved["alerted"], saved["alert_row"]
+        start_index = saved["source_rows_read"]
+    events, stderr, rows_read = [], "", 0
+    try:
+        for index, row in _reference_rows(source):
+            prob = predictor.push(row)
+            if index < start_index or prob is None:
+                advance_clock(state, row)
+            else:
+                event = stream_step(state, row, prob=prob)
+                if event != "none":
+                    events.append({"event": event, "row": index, "t": row.t,
+                                   "model": artifact.family, "probability": prob})
+            rows_read = index + 1
+    except SidewatchError as exc:
+        stderr = f"sidewatch: error: {exc}\n"
+    saved = None if checkpoint is None else {
+        "rows_seen": state.rows_seen, "run": state.run, "alerted": state.alerted,
+        "alert_row": state.alert_row, "source_rows_read": max(rows_read, start_index)}
+    code = EXIT_DATA if stderr else (
+        EXIT_ALERT if state.alerted or state.alert_row is not None else EXIT_OK)
+    return code, stderr, saved, events
+
+
+def run_detect(argv):
+    """cli.main(argv) -> (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def read_events(path: Path) -> list[dict]:
+    return [json.loads(ln) for ln in path.read_text().splitlines()] if path.exists() else []
+
+
+def assert_same_events(got, want):
+    assert [(e["event"], e["row"], e["t"], e["model"]) for e in got] == \
+        [(e["event"], e["row"], e["t"], e["model"]) for e in want]
+    for g, w in zip(got, want):
+        assert g["probability"] == pytest.approx(w["probability"], abs=1e-9)
+
+
+# --- block vs per-row ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("block-models")
+    rnn = models.build_rnn(F, cell="gru", seed=2)
+    rnn.sequence_length = 4
+    built = {
+        "mlp": models.build_mlp(F, hidden=(4,), seed=1),
+        "conv": models.build_conv_multibranch(F, filters=3, kernel=4, dense_units=4,
+                                              window=WindowConfig(16, 8), seed=0),
+        "rnn": rnn,
+    }
+    paths = {}
+    for name, artifact in built.items():
+        paths[name] = root / f"{name}.model"
+        models.save_model(artifact, paths[name])
+    return paths
+
+
+@st.composite
+def detect_cases(draw):
+    n = draw(st.integers(1, 50))
+    period = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lines = []
+    for i in range(n):
+        cells = [repr(i * period), *map(repr, rng.normal(size=F).tolist()), str(int(i > n // 2))]
+        for j in range(1, F + 2):
+            dirt = draw(st.sampled_from(["", "", "", "", "", "", "blank", "nan", "quoted"]))
+            if dirt == "blank":
+                cells[j] = ""
+            elif dirt == "nan":
+                cells[j] = "nan"
+            elif dirt == "quoted":
+                cells[j] = f'"{cells[j]}"'
+        lines.append(cells)
+    defect = draw(st.sampled_from([None, "ragged", "time cell", "time back"]))
+    if defect is not None:
+        at = draw(st.one_of(st.integers(0, min(n - 1, 2)), st.integers(0, n - 1)))
+        if defect == "ragged":
+            lines[at] = lines[at][:-1] if draw(st.booleans()) else lines[at] + ["0"]
+        elif defect == "time cell":
+            lines[at][0] = draw(st.sampled_from(["x", "nan", "inf", ""]))
+        else:
+            lines[at][0] = repr(max(at - draw(st.integers(1, 2)), 0) * period)
+    text = [HEADER] + [",".join(cells) for cells in lines]
+    if draw(st.booleans()):
+        text.insert(draw(st.integers(1, len(text))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    body = end.join(text) + (end if draw(st.booleans()) else "")
+    resume = None
+    if draw(st.booleans()):
+        resume = {"rows_seen": draw(st.integers(0, 5)), "run": draw(st.integers(0, 3)),
+                  "alerted": draw(st.booleans()),
+                  "alert_row": draw(st.one_of(st.none(), st.integers(0, 5))),
+                  "source_rows_read": draw(st.integers(0, n + 2))}
+    return dict(
+        family=draw(st.sampled_from(["mlp", "conv", "rnn"])), body=body, resume=resume,
+        cap=draw(st.integers(1, 8)), read_bytes=draw(st.sampled_from([7, 64, 150, 400, 1 << 16])),
+        cutoff=draw(st.sampled_from([0.3, 0.5, 0.7])), threshold=draw(st.integers(1, 4)),
+        latch=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=detect_cases())
+# The conv period comes from rows 0 and 1: a stream whose row 1 steps back
+# fails on that, in a block or alone.
+@example(case=dict(family="conv", body=f"{HEADER}\n0.0,1,2,3,0\n0.0,1,2,3,0\n0.5,1,2,3,0\n",
+                   resume=None, cap=8, read_bytes=1 << 16, cutoff=0.5, threshold=1, latch=True))
+def test_blocks_match_the_per_row_reference(artifacts, case):
+    model = artifacts[case["family"]]
+    cfg = DetectorConfig(prob_cutoff=case["cutoff"], consec_threshold=case["threshold"],
+                         latching=case["latch"])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        source = tmp / "stream.csv"
+        source.write_bytes(case["body"].encode("utf-8"))
+        ckpt_ref, ckpt = tmp / "ref.json", tmp / "ckpt.json"
+        if case["resume"] is not None:
+            ckpt_ref.write_text(json.dumps(case["resume"]))
+            ckpt.write_text(json.dumps(case["resume"]))
+        want = reference_detect(model, source, cfg, ckpt_ref)
+
+        argv = ["detect", "--model", str(model), "--source", str(source),
+                "--events", str(tmp / "events.jsonl"), "--checkpoint", str(ckpt),
+                "--cutoff", repr(case["cutoff"]), "--threshold", str(case["threshold"])]
+        if not case["latch"]:
+            argv.append("--no-latch")
+        with mock.patch.object(cli, "BLOCK_ROWS", case["cap"]), \
+                mock.patch.object(cli, "_READ_BYTES", case["read_bytes"]):
+            code, stderr = run_detect(argv)
+        assert (code, stderr) == want[:2]
+        assert json.loads(ckpt.read_text()) == want[2]
+        assert_same_events(read_events(tmp / "events.jsonl"), want[3])
+
+
+def test_stdin_is_read_in_blocks(artifacts, tmp_path, monkeypatch):
+    rows = [f"{0.5 * i!r},{i % 3},{i % 5},{i % 7},0" for i in range(40)]
+    body = ("\n".join([HEADER, *rows]) + "\n").encode("utf-8")
+    source = tmp_path / "stream.csv"
+    source.write_bytes(body)
+    want = reference_detect(artifacts["conv"], source, DetectorConfig(consec_threshold=2))
+    monkeypatch.setattr(cli.sys, "stdin", io.TextIOWrapper(io.BytesIO(body)))
+    monkeypatch.setattr(cli, "_READ_BYTES", 100)  # a pipe's read gives a few lines
+    events = tmp_path / "events.jsonl"
+    code, stderr = run_detect(["detect", "--model", str(artifacts["conv"]), "--source", "-",
+                               "--threshold", "2", "--events", str(events)])
+    assert (code, stderr) == want[:2]
+    assert_same_events(read_events(events), want[3])
+
+
+# --- the checkpoint after an interrupt ---------------------------------------------
+
+
+# Rows 16-31 make the second block: interrupted before the alert, and after
+# it, with the block's first events written.
+@pytest.mark.parametrize("k", [19, 30])
+def test_interrupt_mid_block_resumes_where_it_stopped(artifacts, tmp_path, monkeypatch, k):
+    # Every probability is above the cutoff, so the alert row is row 24.
+    rows = [f"{0.5 * i!r},{i % 3},{i % 5},{i % 7},0" for i in range(60)]
+    source = tmp_path / "stream.csv"
+    source.write_text("\n".join([HEADER, *rows]) + "\n")
+    base = ["detect", "--model", str(artifacts["mlp"]), "--source", str(source),
+            "--threshold", "25", "--cutoff", "0.01"]
+    full = tmp_path / "full.jsonl"
+    assert run_detect(base + ["--events", str(full)]) == (EXIT_ALERT, "")
+    assert read_events(full)[0]["event"] == "alert" and read_events(full)[0]["row"] == 24
+
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 16)
+    events, ckpt = tmp_path / "resumed.jsonl", tmp_path / "ckpt.json"
+    argv = base + ["--events", str(events), "--checkpoint", str(ckpt)]
+    steps = []
+
+    def interrupted_step(state, prob):
+        if len(steps) == k:
+            raise KeyboardInterrupt
+        steps.append(prob)
+        return stream_step(state, prob)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "stream_step", interrupted_step)
+        assert run_detect(argv) == (EXIT_ALERT if k > 24 else EXIT_OK, "")
+    saved = json.loads(ckpt.read_text())
+    assert saved["source_rows_read"] == saved["rows_seen"] == k
+    assert [e["row"] for e in read_events(events)] == list(range(24, k))
+    assert run_detect(argv) == (EXIT_ALERT, "")
+    assert_same_events(read_events(events), read_events(full))
+
+
+# --- bounded memory ----------------------------------------------------------------
+
+
+def test_memory_is_flat_over_a_long_source(tmp_path, monkeypatch):
+    model = tmp_path / "conv.model"
+    models.save_model(models.build_conv_multibranch(F, filters=3, kernel=4, dense_units=4,
+                                                    window=WindowConfig(16, 8), seed=0), model)
+    # 64-byte lines: each read of the source holds one block's lines and
+    # cells of the same sizes, so every block leaves the same memory behind.
+    blocks = 98
+    rows = blocks * cli.BLOCK_ROWS - 1  # the header is the first block's first line
+    assert cli._READ_BYTES == 64 * cli.BLOCK_ROWS
+    with open(tmp_path / "long.csv", "w") as fh:
+        fh.write(f"{'time_s,f0,f1,f2':<63}\n")
+        fh.writelines(f"{0.5 * i:049.1f},{i % 7}.5,{i % 5}.25,{i % 3}.75\n" for i in range(rows))
+
+    sizes, retained = [], {}
+    ours = [tracemalloc.Filter(True, str(Path(models.__file__).parent / "*"))]
+    push_block = models.RowStreamPredictor.push_block
+
+    def measured(predictor, features, times=None):
+        probs = push_block(predictor, features, times)
+        sizes.append(len(features))
+        if len(sizes) in (20, blocks):
+            snap = tracemalloc.take_snapshot().filter_traces(ours)
+            retained[sum(sizes)] = sum(s.size for s in snap.statistics("filename"))
+        return probs
+
+    monkeypatch.setattr(models.RowStreamPredictor, "push_block", measured)
+    tracemalloc.start()
+    try:
+        code, stderr = run_detect(["detect", "--model", str(model), "--source",
+                                   str(tmp_path / "long.csv"), "--cutoff", "0.99",
+                                   "--events", str(tmp_path / "events.jsonl")])
+    finally:
+        tracemalloc.stop()
+    assert (code, stderr) == (EXIT_OK, "")
+    assert sum(sizes) == rows and max(sizes) <= cli.BLOCK_ROWS
+    assert sorted(retained) == [20 * cli.BLOCK_ROWS - 1, rows]
+    assert abs(retained[rows] - retained[20 * cli.BLOCK_ROWS - 1]) <= 512

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import struct
 import tracemalloc
@@ -469,6 +470,18 @@ class TestRowStream:
         predictor = RowStreamPredictor(m)
         return np.array([predictor.push(row) for row in trace.rows()])
 
+    @staticmethod
+    def _stream_blocks(m, trace, sizes):
+        """The stream pushed in blocks of *sizes* rows, cycled."""
+        predictor = RowStreamPredictor(m)
+        probs, lo = [], 0
+        for size in itertools.cycle(sizes):
+            if lo >= trace.num_rows:
+                return np.array(probs)
+            probs += predictor.push_block(trace.features[lo:lo + size],
+                                          trace.times[lo:lo + size].tolist())
+            lo += size
+
     @given(data=st.data(), period=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
            F=st.integers(1, 4), kernel=st.integers(1, 5),
            raw_extra=st.integers(0, 8), down_extra=st.integers(0, 6),
@@ -495,7 +508,10 @@ class TestRowStream:
             codes = encode_rows(m.encoder, trace.features)
         # Two shifted copies: zscore_fit needs two rows and T may be 1.
         m.norm = featurize.zscore_fit(np.vstack([codes, codes + 1.0]))
-        np.testing.assert_allclose(self._stream(m, trace), predict_rows(m, trace),
+        batch = predict_rows(m, trace)
+        np.testing.assert_allclose(self._stream(m, trace), batch, rtol=0, atol=1e-9)
+        sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4), label="sizes")
+        np.testing.assert_allclose(self._stream_blocks(m, trace, sizes), batch,
                                    rtol=0, atol=1e-9)
 
     def test_bare_arrays_assume_the_default_period(self):
