@@ -21,15 +21,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, evalharness, models, synthgen, telemetry
-from .detector import (DetectorConfig, StreamState, advance_clock, advance_clock_block,
-                       stream_step)
+from .detector import DetectorConfig, StreamState, stream_step
 from .errors import SidewatchError
 from .models import TrainConfig
 from .nn import OptimizerSpec
-from .telemetry import MANIFEST_FILENAME, SampleRow
+from .telemetry import MANIFEST_FILENAME
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -377,18 +374,17 @@ def _read_blocks(source, follow: bool, poll_s: float = 0.2):
     features [n, F] its rows' (see _line_blocks for what a block holds).
 
     Cells are read by the trace file rules (telemetry.RowParser), a block
-    at a time. A bad row (ragged, or a time cell that is not a number)
-    ends its block: the rows before it are yielded, then its error raised.
+    at a time. A bad row ends the source: the rows before it are yielded,
+    then its error raised.
     """
     stdin = source == "-"
     fh = sys.stdin.buffer if stdin else open(source, "rb")
     try:
         parser = None
-        index = 0
         for lines in _line_blocks(fh, follow and not stdin, not stdin, poll_s):
             rows = []
             for line in lines:
-                text = line.decode("utf-8")
+                text = line.decode("utf-8", "surrogateescape")
                 if not text.strip():
                     continue
                 cells = next(csv.reader([text]))
@@ -398,32 +394,15 @@ def _read_blocks(source, follow: bool, poll_s: float = 0.2):
                     rows.append(cells)
             if not rows:
                 continue
-            times, features, error = _parse_block(parser, rows)
+            first = parser.rows
+            times, features, _, error = parser.parse_rows(rows)
             if len(times):
-                yield index, times, features
+                yield first, times, features
             if error is not None:
                 raise error
-            index += len(rows)
     finally:
         if not stdin:
             fh.close()
-
-
-def _parse_block(parser: telemetry.RowParser, rows: list[list[str]]):
-    """(times, features, error): the rows up to the first bad one, and its
-    error (None when every row parses)."""
-    try:
-        times, features, _ = parser.parse_rows(rows)
-        return times, features, None
-    except SidewatchError:
-        pass
-    good = []
-    for cells in rows:
-        try:
-            good.append(parser.parse(cells))
-        except SidewatchError as exc:
-            return (np.array([row.t for row in good]),
-                    np.array([row.features for row in good]), exc)
 
 
 # A checkpoint's fields and the JSON types each must have.
@@ -478,15 +457,12 @@ def _cmd_detect(args) -> int:
     events = []  # the event lines of the block, written when it is done
     try:
         for first, times, features in _read_blocks(args.source, args.follow):
-            # Every row's time is checked, scored or not; a block is scored
-            # up to its first row out of time order.
-            times = times.tolist()
-            n = advance_clock_block(state, times)
             # Rows before the checkpoint still replay through the predictor
             # so its feature history (windows, chunk buffers) is rebuilt;
             # only the detector counter skips them.
-            probs = predictor.push_block(features[:n], times[:n]) if n else []
-            for index, t, prob in zip(range(first, first + n), times, probs):
+            times = times.tolist()
+            probs = predictor.push_block(features, times)
+            for index, (t, prob) in enumerate(zip(times, probs), first):
                 if index >= start_index and prob is not None:
                     event = stream_step(state, prob)
                     if event != "none":
@@ -495,12 +471,6 @@ def _cmd_detect(args) -> int:
                                                  sort_keys=True) + "\n")
                 rows_read = index + 1
             _write_events(events_fh, events)
-            if n < len(times):
-                # The row out of order goes on alone, to fail as it would
-                # in a one-row block.
-                row = SampleRow(t=times[n], features=features[n], label=0)
-                predictor.push(row)
-                advance_clock(state, row)
     except KeyboardInterrupt:
         pass
     finally:

@@ -8,16 +8,18 @@ consecutive malicious rows exists (50 by default, i.e. 25 seconds at the
 flagging a whole file. The alert row is the run's threshold-th row,
 counted inclusively, so a perfect detector's time-to-detect is exactly
 ``consec_threshold * sample_period_s``.
+
+The detector sees only probabilities: telemetry's row parser decides
+whether a row, its time order included, is valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlertBeforeOnsetError, OutOfOrderRowError
-from .telemetry import SampleRow
+from .errors import AlertBeforeOnsetError
 
 DEFAULT_CONSEC_THRESHOLD = 50
 
@@ -105,54 +107,15 @@ class StreamState:
     rows_seen: int = 0
     alerted: bool = False
     alert_row: int | None = None
-    last_t: float | None = field(default=None)
-
-    def reset(self) -> None:
-        self.run = 0
-        self.alerted = False
-        self.alert_row = None
-        # rows_seen and last_t persist: the stream itself has not restarted.
 
 
-def advance_clock(state: StreamState, row: SampleRow) -> None:
-    """Move the stream's clock to *row*; a row whose time is not later
-    than the last one's raises OutOfOrderRowError. stream_step does this
-    for every SampleRow; call it directly for rows that are not scored."""
-    if state.last_t is not None and row.t <= state.last_t:
-        raise OutOfOrderRowError(f"row at t={row.t} after t={state.last_t}")
-    state.last_t = row.t
-
-
-def advance_clock_block(state: StreamState, times: list[float]) -> int:
-    """Move the stream's clock over the leading *times* that each come
-    later than the one before; returns how many. The row after them, if
-    any, is out of order: advance_clock raises on it."""
-    n = 0
-    for t in times:
-        if state.last_t is not None and t <= state.last_t:
-            break
-        state.last_t = t
-        n += 1
-    return n
-
-
-def stream_step(state: StreamState, row, prob: float | None = None) -> str:
-    """Advance the detector one row; returns the emitted event.
-
-    *row* may be a SampleRow with its probability given as *prob*, or a
-    bare probability. Emits ``alert`` exactly once when the counter first
-    reaches the threshold; in latching mode every later row reports
-    ``still_malicious`` until reset(); non-latching mode re-arms once the
-    malicious run breaks.
+def stream_step(state: StreamState, prob: float) -> str:
+    """Advance the detector by one row's probability; returns the event:
+    ``alert`` exactly once, when the counter first reaches the threshold;
+    in latching mode ``still_malicious`` on every later row of the stream;
+    non-latching mode re-arms once the malicious run breaks.
     """
     cfg = state.cfg
-    if isinstance(row, SampleRow):
-        advance_clock(state, row)
-        if prob is None:
-            raise ValueError("a SampleRow needs an explicit probability")
-    else:
-        prob = float(row)
-
     index = state.rows_seen
     state.rows_seen += 1
 

@@ -24,6 +24,10 @@ class NonMonotonicTimeError(SidewatchError):
     """Time offsets do not strictly increase (or cannot be parsed)."""
 
 
+class UndecodableRowError(SidewatchError):
+    """A CSV line is not valid UTF-8."""
+
+
 class EmptyTraceError(SidewatchError):
     """A trace file contains a header but no data rows."""
 
@@ -90,10 +94,6 @@ class CorruptArtifactError(SidewatchError):
 
 class AlertBeforeOnsetError(SidewatchError):
     """Detection fired before ground-truth onset (a false-positive run)."""
-
-
-class OutOfOrderRowError(SidewatchError):
-    """A streamed row arrived with a non-increasing timestamp."""
 
 
 # --- evaluation harness -------------------------------------------------

@@ -26,7 +26,7 @@ Per-row conv prediction slides the causal lookback windows over the
 branch views through one stateful engine (_ConvEngine), stepped by a whole
 trace (predict_rows) or by one row (RowStreamPredictor.push): one
 convolution per branch and block plus sliding-window maxima, exactly
-equivalent to convolving each materialized window (predict_rows_windowed).
+equivalent to convolving each materialized causal window.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -702,27 +702,6 @@ def predict_rows(artifact: ModelArtifact, trace: Trace) -> np.ndarray:
         probs, _ = artifact.network.forward(rows, mode="infer")
         return probs.reshape(-1)
     return _ConvEngine(artifact, trace.meta.sample_period_s).step_block(rows)
-
-
-def predict_rows_windowed(artifact: ModelArtifact, trace: Trace) -> np.ndarray:
-    """Reference per-row path: materialize every causal window set.
-
-    Mathematically identical to predict_rows for the conv family; kept as
-    the independent slow route for equivalence testing. Its decimated
-    views keep the trailing partial block, the causal rule predict_rows
-    and the live stream follow.
-    """
-    rows = _model_rows(artifact, trace.features)
-    branches = make_branch_set(rows, trace.meta.sample_period_s)
-    branches = replace(branches, down_mid=rows[::branches.mid_factor],
-                       down_long=rows[::branches.long_factor])
-    w = artifact.window
-    probs = np.empty(branches.num_rows)
-    for i in range(branches.num_rows):
-        xs = list(make_row_windows(branches, i, w.raw_window, w.down_window))
-        p, _ = artifact.network.forward(xs, mode="infer")
-        probs[i] = float(p.reshape(-1)[0])
-    return probs
 
 
 def predict_sequences(artifact: ModelArtifact, batch: SequenceBatch) -> np.ndarray:

@@ -13,9 +13,11 @@ start at which the malware began executing), benign ones must not.
 
 Trace files are UTF-8 CSV with a header row: an optional ``time_s``
 column, one column per sensor feature, and an optional trailing ``label``
-column holding 0/1. Cells that do not parse as numbers are imputed from
-the previous row (0 for the first row) so the row count — which the
-consecutive-sample detector depends on — is never silently changed.
+column holding 0/1. Feature and label cells that do not parse as numbers
+are imputed from the previous row (0 for the first row) so the row count —
+which the consecutive-sample detector depends on — is never silently
+changed. A ragged or non-UTF-8 row, or a time that is not a finite number
+later than the row above, is an error (_decode_rows, for files and streams).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from .errors import (
     MissingColumnError,
     NonMonotonicTimeError,
     RaggedRowError,
+    UndecodableRowError,
     UnknownCategoryError,
 )
 
@@ -213,15 +217,15 @@ def render_filename(meta: TraceMeta) -> str:
 
 # --- CSV parse / write -----------------------------------------------------
 
-def _impute(cell: str, prev: float) -> float:
-    """Missing-value policy: previous row's value, 0 for the first row."""
+# A byte that is not UTF-8, as text decoded with errors="surrogateescape" holds it.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _cell_value(cell: str) -> float:
     try:
-        v = float(cell)
+        return float(cell)
     except ValueError:
-        return prev
-    if not math.isfinite(v):
-        return prev
-    return v
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -236,6 +240,8 @@ class _Columns:
 
 
 def _columns(header: list[str], schema: TraceSchema, where: str) -> _Columns:
+    if _NOT_UTF8.search(",".join(header)):
+        raise UndecodableRowError(f"{where}: header is not UTF-8")
     if schema.feature_cols is None:
         feature_cols = [c for c in header if c not in (schema.time_col, schema.label_col)]
     else:
@@ -254,11 +260,12 @@ def _columns(header: list[str], schema: TraceSchema, where: str) -> _Columns:
     )
 
 
-def _row_values(row: list[str]) -> list[float]:
+def _row_values(row: list[str]) -> list[float] | None:
+    """The row's cells as floats (NaN where not a number); None if not UTF-8."""
     try:
         return list(map(float, row))
     except ValueError:
-        return [_impute(cell, math.nan) for cell in row]
+        return None if _NOT_UTF8.search("".join(row)) else list(map(_cell_value, row))
 
 
 def _fill_forward(values: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -278,45 +285,57 @@ def _decode_rows(
     rows: list[list[str]],
     where: str,
     first_row: int,
+    prev_t: float,
     prev_features: np.ndarray,
     prev_label: int,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Times (None without a time column), features and labels of CSV rows.
-
-    A feature or label cell that is not a finite number takes the value of
-    the row above; *prev_features* and *prev_label* stand above the first
-    row. A time cell that is not a finite number raises.
+):
+    """The CSV rows before the first bad one as (times [n] or None without a
+    time column, features [n, F], labels [n]), plus that row's error (None
+    if every row is good). A row is bad when it is ragged, is not UTF-8, or
+    its time is not a finite number later than the row above's. A feature or
+    label cell that is not a finite number takes the value of the row above.
+    *prev_t*, *prev_features* and *prev_label* stand above the first row.
     """
+    error = None
     for i, row in enumerate(rows):
         if len(row) != cols.width:
-            raise RaggedRowError(
-                f"{where}: row {first_row + i} has {len(row)} fields, header has {cols.width}"
-            )
+            error = RaggedRowError(
+                f"{where}: row {first_row + i} has {len(row)} fields, header has {cols.width}")
+            rows = rows[:i]
+            break
     # One cast for the whole block; only a block with a cell that is not a
     # number goes row by row, and only its failing rows cell by cell.
     try:
-        values = np.array(rows, dtype=np.float64)
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), cols.width)
     except ValueError:
-        values = np.array([_row_values(row) for row in rows], dtype=np.float64)
+        parsed = [_row_values(row) for row in rows]
+        if None in parsed:
+            i = parsed.index(None)
+            error = UndecodableRowError(f"{where}: row {first_row + i} is not UTF-8")
+            parsed, rows = parsed[:i], rows[:i]
+        values = np.array(parsed, dtype=np.float64).reshape(len(rows), cols.width)
     values[~np.isfinite(values)] = np.nan
 
     times = None
     if cols.time_idx is not None:
         times = values[:, cols.time_idx].copy()
-        bad = np.isnan(times)
+        prev = np.concatenate(([prev_t], times[:-1]))
+        bad = ~(times > prev)  # NaN is never later
         if bad.any():
             i = int(np.argmax(bad))
-            raise NonMonotonicTimeError(
-                f"{where}: row {first_row + i} time {rows[i][cols.time_idx]!r} "
-                "is not a finite number"
-            )
+            if np.isnan(times[i]):
+                what = f"{rows[i][cols.time_idx]!r} is not a finite number"
+            else:
+                what = f"{times[i]} is not later than row {first_row + i - 1} time {prev[i]}"
+            error = NonMonotonicTimeError(f"{where}: row {first_row + i} time {what}")
+            times, values = times[:i], values[:i]
     features = _fill_forward(np.ascontiguousarray(values[:, cols.feature_idx]), prev_features)
     if cols.label_idx is None:
-        labels = np.zeros(len(rows), dtype=np.int64)
+        labels = np.zeros(len(values), dtype=np.int64)
     else:
         filled = _fill_forward(values[:, [cols.label_idx]], np.array([float(prev_label)]))
         labels = (filled[:, 0] >= 0.5).astype(np.int64)
-    return times, features, labels
+    return times, features, labels, error
 
 
 def parse_trace_csv(
@@ -330,12 +349,13 @@ def parse_trace_csv(
     outside the convention fall back to a generic benign placeholder so
     ad-hoc files remain loadable. The time column is optional (synthesized
     as index × sample period when absent); so is the label column (rows
-    default to benign, for unlabeled live captures). A time cell that is
-    not a finite number raises NonMonotonicTimeError.
+    default to benign, for unlabeled live captures). The first bad row
+    (_decode_rows: ragged, not UTF-8, or a time that is not a finite number
+    later than the row above) raises its error.
     """
     path = Path(path)
     schema = schema or TraceSchema()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -355,17 +375,15 @@ def parse_trace_csv(
         raise EmptyTraceError(f"{path}: header only, no data rows")
 
     T = len(raw_rows)
-    times, features, labels = _decode_rows(
-        cols, raw_rows, str(path), 0, np.zeros(len(cols.feature_idx)), 0)
+    times, features, labels, error = _decode_rows(
+        cols, raw_rows, str(path), 0, -math.inf, np.zeros(len(cols.feature_idx)), 0)
+    if error is not None:
+        raise error
 
     if times is None:
         times = np.arange(T, dtype=np.float64) * meta.sample_period_s
-    else:
-        if np.any(np.diff(times) <= 0):
-            bad = int(np.argmax(np.diff(times) <= 0)) + 1
-            raise NonMonotonicTimeError(f"{path}: time does not strictly increase at row {bad}")
-        if T >= 2:
-            meta = replace(meta, sample_period_s=float(times[1] - times[0]))
+    elif T >= 2:
+        meta = replace(meta, sample_period_s=float(times[1] - times[0]))
 
     return Trace(meta=meta, header=cols.feature_names, times=times, features=features,
                  labels=labels)
@@ -374,34 +392,43 @@ def parse_trace_csv(
 class RowParser:
     """Parse a trace CSV's data rows as they arrive, by parse_trace_csv's rules.
 
-    For live streams: a feature or label cell that is not a finite number
-    takes the previous row's value (0 on the first row), a time cell that
-    is not a finite number raises NonMonotonicTimeError, and without a
-    time column row i is at ``i * DEFAULT_SAMPLE_PERIOD_S``.
+    For live streams: each call decodes its rows by _decode_rows, with the
+    last row of the calls before standing above its first, so rows decode
+    the same however a stream is cut into calls. Decode lines with
+    ``errors="surrogateescape"``, so that one that is not UTF-8 is a bad
+    row. Without a time column row i is at ``i * DEFAULT_SAMPLE_PERIOD_S``.
     """
 
     def __init__(self, header: list[str], where: str = "stream"):
         self.cols = _columns([h.strip() for h in header], TraceSchema(), where)
         self.where = where
         self.rows = 0
+        self._prev_t = -math.inf
         self._prev_features = np.zeros(len(self.cols.feature_idx))
         self._prev_label = 0
 
-    def parse_rows(self, rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Times [n], features [n, F] and labels [n] of the next n data rows,
-        decoded together. A bad row raises its error and parses nothing."""
-        times, features, labels = _decode_rows(
-            self.cols, rows, self.where, self.rows, self._prev_features, self._prev_label)
+    def parse_rows(self, rows: list[list[str]]):
+        """(times [n], features [n, F], labels [n], error): the next rows up
+        to the first bad one, and its error (None if all are good). A bad row
+        ends the stream: the rows after it are not parsed."""
+        times, features, labels, error = _decode_rows(
+            self.cols, rows, self.where, self.rows, self._prev_t, self._prev_features,
+            self._prev_label)
+        n = len(features)
         if times is None:
-            times = np.arange(self.rows, self.rows + len(rows)) * DEFAULT_SAMPLE_PERIOD_S
-        self.rows += len(rows)
-        self._prev_features = features[-1]
-        self._prev_label = int(labels[-1])
-        return times, features, labels
+            times = np.arange(self.rows, self.rows + n) * DEFAULT_SAMPLE_PERIOD_S
+        if n:
+            self.rows += n
+            self._prev_t = float(times[-1])
+            self._prev_features = features[-1]
+            self._prev_label = int(labels[-1])
+        return times, features, labels, error
 
     def parse(self, cells: list[str]) -> SampleRow:
-        """The next data row: parse_rows of one row."""
-        times, features, labels = self.parse_rows([cells])
+        """The next data row: parse_rows of one row; a bad row raises its error."""
+        times, features, labels, error = self.parse_rows([cells])
+        if error is not None:
+            raise error
         return SampleRow(t=float(times[0]), features=features[0], label=int(labels[0]))
 
 
@@ -559,7 +586,7 @@ def build_manifest(directory: str | Path) -> Manifest:
             trace = parse_trace_csv(p, meta=meta)
         except (MalformedNameError, UnknownCategoryError, BadOnsetError,
                 MissingColumnError, RaggedRowError, NonMonotonicTimeError,
-                EmptyTraceError) as exc:
+                UndecodableRowError, EmptyTraceError) as exc:
             manifest.skipped.append((p.name, f"{type(exc).__name__}: {exc}"))
             continue
         manifest.entries.append(

@@ -99,6 +99,18 @@ class TestValidate:
             "time_s,a,label\n0.0,1,1\n0.5,2,1\n")  # benign file with label 1
         assert cli.main(["validate", "--corpus", str(corpus)]) == EXIT_DATA
 
+    def test_non_utf8_file_is_skipped(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        (corpus / "x_Win7SP1_hw1_office.csv").write_text("time_s,a,label\n0.0,1,0\n0.5,2,0\n")
+        (corpus / "y_Win7SP1_hw1_office.csv").write_bytes(
+            b"time_s,a,label\n0.0,1,0\n0.5,\xff,0\n")
+        assert cli.main(["validate", "--corpus", str(corpus)]) == EXIT_DATA
+        out = capsys.readouterr().out
+        assert "y_Win7SP1_hw1_office.csv: skipped (UndecodableRowError: " in out
+        assert "row 1 is not UTF-8" in out
+        assert "validated 1 traces, 0 violations, 1 skipped files" in out
+
 
 class TestTrainEval:
     def test_artifact_reloads_and_predicts_identically(self, cli_corpus):
@@ -391,6 +403,22 @@ class TestDetect:
         assert rc == EXIT_DATA
         assert "row 4 time" in capsys.readouterr().err
 
+    def test_non_utf8_row_is_data_error(self, cli_corpus, tmp_path, capsys):
+        root, corpus, model_path = cli_corpus
+        trace_path, meta = self._malicious_trace_path(corpus)
+        lines = trace_path.read_bytes().split(b"\r\n")
+        lines[61] = lines[61].replace(b",", b",\xff", 1)  # data row 60
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\r\n".join(lines))
+        ckpt = tmp_path / "ckpt.json"
+        rc = cli.main(["detect", "--model", str(model_path), "--source", str(bad),
+                       "--checkpoint", str(ckpt)])
+        assert rc == EXIT_DATA
+        assert "row 60 is not UTF-8" in capsys.readouterr().err
+        # The rows before the bad one were scored.
+        saved = json.loads(ckpt.read_text())
+        assert saved["rows_seen"] == saved["source_rows_read"] == 60
+
     @pytest.mark.parametrize("family,resume", [("mlp", False), ("mlp", True), ("rnn", False)])
     def test_time_stepping_back_is_data_error(self, cli_corpus, tmp_path, capsys,
                                               family, resume):
@@ -415,7 +443,7 @@ class TestDetect:
                                         "alert_row": None, "source_rows_read": 100}))
             argv += ["--checkpoint", str(ckpt)]
         assert cli.main(argv) == EXIT_DATA
-        assert "t=24.0 after t=24.5" in capsys.readouterr().err
+        assert "row 50 time 24.0 is not later than row 49 time 24.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         "{}", "", '{"rows_seen": 100, "run": 0, "alert', "[]",

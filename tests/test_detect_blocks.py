@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sidewatch import cli, models, telemetry
 from sidewatch.cli import EXIT_ALERT, EXIT_DATA, EXIT_OK
-from sidewatch.detector import DetectorConfig, StreamState, advance_clock, stream_step
+from sidewatch.detector import DetectorConfig, StreamState, stream_step
 from sidewatch.errors import SidewatchError
 from sidewatch.models import WindowConfig
 
@@ -46,8 +46,9 @@ def _reference_rows(source):
 
 
 def reference_detect(model, source, cfg: DetectorConfig, checkpoint=None):
-    """`sidewatch detect` as a per-row loop: each row is parsed, pushed,
-    clock-checked and stepped alone, and counted once its step completes.
+    """`sidewatch detect` as a per-row loop: each row is parsed (which checks
+    its time order), pushed and stepped alone, and counted once its step
+    completes.
     Returns (exit code, stderr, checkpoint dict or None, event records)."""
     artifact = models.load_model(model)
     predictor = models.stream_predictor(artifact)
@@ -62,10 +63,8 @@ def reference_detect(model, source, cfg: DetectorConfig, checkpoint=None):
     try:
         for index, row in _reference_rows(source):
             prob = predictor.push(row)
-            if index < start_index or prob is None:
-                advance_clock(state, row)
-            else:
-                event = stream_step(state, row, prob=prob)
+            if index >= start_index and prob is not None:
+                event = stream_step(state, prob)
                 if event != "none":
                     events.append({"event": event, "row": index, "t": row.t,
                                    "model": artifact.family, "probability": prob})
@@ -168,7 +167,7 @@ def detect_cases(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(case=detect_cases())
 # The conv period comes from rows 0 and 1: a stream whose row 1 steps back
-# fails on that, in a block or alone.
+# fails in the row parser, before the period is set, in a block or alone.
 @example(case=dict(family="conv", body=f"{HEADER}\n0.0,1,2,3,0\n0.0,1,2,3,0\n0.5,1,2,3,0\n",
                    resume=None, cap=8, read_bytes=1 << 16, cutoff=0.5, threshold=1, latch=True))
 def test_blocks_match_the_per_row_reference(artifacts, case):

@@ -15,8 +15,7 @@ from sidewatch.detector import (
     stream_verdict,
     time_to_detect,
 )
-from sidewatch.errors import AlertBeforeOnsetError, OutOfOrderRowError
-from sidewatch.telemetry import SampleRow
+from sidewatch.errors import AlertBeforeOnsetError
 
 
 def brute_first_run_end(flags, threshold):
@@ -163,27 +162,6 @@ class TestStream:
             flags[100] = True  # one flipped row
             for p in probs_from_flags(flags):
                 assert stream_step(state, float(p)) == EVENT_NONE
-
-    def test_out_of_order_rows_rejected(self):
-        cfg = DetectorConfig()
-        state = StreamState(cfg=cfg)
-        row = SampleRow(t=1.0, features=np.zeros(2), label=0)
-        stream_step(state, row, prob=0.1)
-        with pytest.raises(OutOfOrderRowError):
-            stream_step(state, SampleRow(t=1.0, features=np.zeros(2), label=0),
-                        prob=0.1)
-
-    def test_sample_row_needs_a_probability(self):
-        state = StreamState(cfg=DetectorConfig())
-        with pytest.raises(ValueError, match="probability"):
-            stream_step(state, SampleRow(t=1.0, features=np.zeros(2), label=0))
-
-    def test_reset_rearms_latched_state(self):
-        cfg = DetectorConfig(consec_threshold=1)
-        state = StreamState(cfg=cfg)
-        assert stream_step(state, 0.9) == EVENT_ALERT
-        state.reset()
-        assert stream_step(state, 0.9) == EVENT_ALERT
 
 
 class TestSequenceAggregation:

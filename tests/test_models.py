@@ -34,7 +34,6 @@ from sidewatch.models import (
     expected_param_count,
     load_model,
     predict_rows,
-    predict_rows_windowed,
     predict_sequences,
     save_model,
     train_model,
@@ -54,6 +53,26 @@ def v2_parts(data: bytes) -> tuple[dict, bytes]:
     (length,) = struct.unpack_from("<Q", data, 8)
     end = V2_HEADER_START + length
     return json.loads(data[V2_HEADER_START:end]), data[end:]
+
+
+def predict_rows_windowed(artifact, trace) -> np.ndarray:
+    """Reference per-row conv path: materialize every causal window set.
+
+    The independent slow route predict_rows is checked against. Its
+    decimated views keep the trailing partial block, the causal rule
+    predict_rows and the live stream follow.
+    """
+    rows = models._model_rows(artifact, trace.features)
+    branches = featurize.make_branch_set(rows, trace.meta.sample_period_s)
+    branches = dataclasses.replace(branches, down_mid=rows[::branches.mid_factor],
+                                   down_long=rows[::branches.long_factor])
+    w = artifact.window
+    probs = np.empty(branches.num_rows)
+    for i in range(branches.num_rows):
+        xs = list(featurize.make_row_windows(branches, i, w.raw_window, w.down_window))
+        p, _ = artifact.network.forward(xs, mode="infer")
+        probs[i] = float(p.reshape(-1)[0])
+    return probs
 
 
 def header_text(header: dict) -> bytes:

@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidewatch import telemetry
 from sidewatch.errors import (
     BadOnsetError,
+    SidewatchError,
     EmptyTraceError,
     MalformedNameError,
     MissingColumnError,
     NonMonotonicTimeError,
     RaggedRowError,
+    UndecodableRowError,
     UnknownCategoryError,
 )
 from sidewatch.telemetry import (
@@ -124,6 +126,30 @@ class TestCsvParsing:
     def test_non_monotonic_time(self, tmp_path):
         path = self._write(tmp_path, "time_s,a,label\n0.0,1,0\n0.0,2,0\n")
         with pytest.raises(NonMonotonicTimeError):
+            parse_trace_csv(path)
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # A step back at row 1 comes before the ragged row 2.
+        path = self._write(tmp_path, "time_s,a,label\n1.0,1,0\n0.5,2,0\n1.5,3\n")
+        with pytest.raises(NonMonotonicTimeError,
+                           match="row 1 time 0.5 is not later than row 0 time 1.0"):
+            parse_trace_csv(path)
+
+    @pytest.mark.parametrize("line", [b"0.5,\xff,0", b"0.5,2,\xfe"])
+    def test_non_utf8_row_is_undecodable(self, tmp_path, line):
+        path = tmp_path / "t_Win7SP1_hw1_office.csv"
+        path.write_bytes(b"time_s,a,label\n0.0,1,0\n" + line + b"\n1.0,3,0\n")
+        with pytest.raises(UndecodableRowError, match="row 1 is not UTF-8"):
+            parse_trace_csv(path)
+        manifest = build_manifest(tmp_path)
+        assert manifest.entries == []
+        assert [name for name, _ in manifest.skipped] == [path.name]
+        assert manifest.skipped[0][1].startswith("UndecodableRowError: ")
+
+    def test_non_utf8_header_is_undecodable(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"time_s,\xffa,label\n0.0,1,0\n")
+        with pytest.raises(UndecodableRowError, match="header is not UTF-8"):
             parse_trace_csv(path)
 
     def test_missing_schema_column(self, tmp_path):
@@ -238,6 +264,47 @@ _extreme_floats = st.one_of(
 )
 
 
+ROW_HEADER = "time_s,a,b,label"
+
+
+@st.composite
+def row_parser_cases(draw):
+    """A trace file's data lines, with at most one bad row, and where to
+    cut its rows into parse_rows calls."""
+    n = draw(st.integers(2, 30))
+    period = draw(st.sampled_from([0.25, 0.5, 1.0, 0.1]))
+    t0 = draw(st.sampled_from([0.0, 3.5, -2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lines = []
+    for i in range(n):
+        cells = [repr(t0 + i * period), *map(repr, rng.normal(size=2).tolist()),
+                 str(int(rng.random() < 0.5))]
+        for j in range(1, 4):
+            if draw(st.integers(0, 5)) == 0:
+                cells[j] = draw(st.sampled_from(DIRTY_TOKENS))
+        lines.append(cells)
+    defect = draw(st.sampled_from([None, "ragged", "time cell", "repeat", "step back",
+                                   "not utf-8"]))
+    at = draw(st.integers(1 if defect in ("repeat", "step back") else 0, n - 1))
+    if defect == "ragged":
+        lines[at] = lines[at][:-1] if draw(st.booleans()) else lines[at] + ["0"]
+    elif defect == "time cell":
+        lines[at][0] = draw(st.sampled_from(["x", "nan", "inf", "-inf", ""]))
+    elif defect == "repeat":
+        lines[at][0] = lines[at - 1][0]
+    elif defect == "step back":
+        lines[at][0] = repr(float(lines[at - 1][0]) - draw(st.sampled_from([period, 0.01, 1e3])))
+    elif defect == "not utf-8":
+        j = draw(st.integers(0, 3))
+        lines[at][j] += "\udcff"  # written as the byte 0xff
+    cuts = set(draw(st.lists(st.integers(1, n - 1), max_size=6)))
+    if defect is not None and at and draw(st.booleans()):
+        cuts.add(at)  # the bad row opens a call
+    return dict(lines=[",".join(cells) for cells in lines], cuts=sorted(cuts),
+                end=draw(st.sampled_from(["\n", "\r\n"])),
+                bad_row=None if defect is None else at)
+
+
 class TestBulkParseEquivalence:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -339,15 +406,65 @@ class TestRowParser:
         parser = telemetry.RowParser(["a", "label"])
         assert [parser.parse(["1", "0"]).t for _ in range(3)] == [0.0, 0.5, 1.0]
 
+    # Each case is the rows of one stream, parsed one call each; the last is bad.
     @pytest.mark.parametrize("cells, error", [
-        (["nan", "1", "0"], NonMonotonicTimeError),
-        (["x", "1", "0"], NonMonotonicTimeError),
-        (["0.0", "1"], RaggedRowError),
+        ([["nan", "1", "0"]], NonMonotonicTimeError),
+        ([["x", "1", "0"]], NonMonotonicTimeError),
+        ([["0.0", "1"]], RaggedRowError),
+        ([["1.0", "1", "0"], ["1.0", "2", "0"]], NonMonotonicTimeError),
+        ([["1.0", "1", "0"], ["0.5", "2", "0"]], NonMonotonicTimeError),
+        ([["0.0", "1\udcff", "0"]], UndecodableRowError),
     ])
     def test_bad_rows_rejected(self, cells, error):
         parser = telemetry.RowParser(["time_s", "a", "label"])
-        with pytest.raises(error):
-            parser.parse(cells)
+        for good in cells[:-1]:
+            parser.parse(good)
+        with pytest.raises(error, match=f"row {len(cells) - 1} "):
+            parser.parse(cells[-1])
+        assert parser.rows == len(cells) - 1
+
+    @given(case=row_parser_cases())
+    @settings(max_examples=150, deadline=None)
+    @example(case=dict(lines=["0.0,1,2,0", "0.5,3,4,0", "0.5,5,6,1"], cuts=[2], end="\n",
+                       bad_row=2))
+    def test_calls_equal_file_parse(self, tmp_path_factory, case):
+        """However a file's rows are cut into parse_rows calls, they decode
+        as parse_trace_csv decodes the file, up to the same first bad row
+        with the same error."""
+        path = tmp_path_factory.mktemp("cuts") / "t.csv"
+        end = case["end"]
+        path.write_bytes(end.join([ROW_HEADER, *case["lines"], ""])
+                         .encode("utf-8", "surrogateescape"))
+        try:
+            want, want_error = parse_trace_csv(path), None
+        except SidewatchError as exc:
+            want, want_error = None, exc
+
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        parser = telemetry.RowParser(header, where=str(path))
+        parts, error = [], None
+        for lo, hi in zip([0, *case["cuts"]], [*case["cuts"], len(rows)]):
+            *part, error = parser.parse_rows(rows[lo:hi])
+            parts.append(part)
+            if error is not None:
+                break
+        times, features, labels = (np.concatenate(arrays) for arrays in zip(*parts))
+
+        if case["bad_row"] is None:
+            assert want_error is None and error is None
+        else:
+            assert (type(error), str(error)) == (type(want_error), str(want_error))
+            assert len(times) == case["bad_row"]
+            if not len(times):
+                return
+            # The rows before the bad one decode as the file cut there does.
+            path.write_bytes(end.join([ROW_HEADER, *case["lines"][:len(times)], ""])
+                             .encode("utf-8", "surrogateescape"))
+            want = parse_trace_csv(path)
+        assert _same_bits(times, want.times)
+        assert _same_bits(features, want.features)
+        assert _same_bits(labels, want.labels)
 
 
 class TestValidation:
