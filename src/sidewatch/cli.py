@@ -187,17 +187,22 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    manifest, traces = _load_corpus(args.corpus, None)
+    """Check every file of the corpus: a file listed in the manifest that
+    does not parse is skipped with its reason, like one the manifest skips."""
+    manifest = _manifest(args.corpus)
+    skipped = list(manifest.skipped)
+    traces = [trace for _, trace in telemetry.parse_trace_files(
+        args.corpus, [(e.path, e.meta) for e in manifest.entries], skipped)]
     bad = 0
     for trace in traces:
         for v in telemetry.validate_trace(trace):
             print(f"{trace.meta.subject_name}: {v}")
             bad += 1
-    for path, reason in manifest.skipped:
+    for path, reason in sorted(skipped):
         print(f"{path}: skipped ({reason})")
     print(f"validated {len(traces)} traces, {bad} violations, "
-          f"{len(manifest.skipped)} skipped files")
-    return EXIT_DATA if (bad or manifest.skipped) else EXIT_OK
+          f"{len(skipped)} skipped files")
+    return EXIT_DATA if (bad or skipped) else EXIT_OK
 
 
 # --- split ---------------------------------------------------------------------

@@ -173,11 +173,13 @@ def make_row_windows(
 
     Full-rate branches contribute their last *raw_window* rows up to and
     including the row; decimated branches contribute their last
-    *down_window* rows at or before the row's time. Training keeps
-    make_branch_set's floor-length rule, so the final ``T mod factor`` rows
-    of a trace see a decimated sample up to one factor older than the one
-    inference (which samples every row i with i % factor == 0, as do
-    branches decimated by ``rows[::factor]``) gives them.
+    *down_window* rows at or before the row's time. Neither training nor
+    prediction builds these windows: both convolve whole branch views once
+    (models._ConvEngine). They remain the materialized reference those
+    paths are tested against. With make_branch_set's floor-length
+    decimation the final ``T mod factor`` rows of a trace see a decimated
+    sample up to one factor older than the causal rule (row i sampled when
+    i % factor == 0, as by ``rows[::factor]``) that the models follow.
     """
     T = branches.num_rows
     if not 0 <= row_index < T:

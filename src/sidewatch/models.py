@@ -27,6 +27,15 @@ branch views through one stateful engine (_ConvEngine), stepped by a whole
 trace (predict_rows) or by one row (RowStreamPredictor.push): one
 convolution per branch and block plus sliding-window maxima, exactly
 equivalent to convolving each materialized causal window.
+
+Conv training sees the same views. _conv_batches builds each trace's five
+padded branch sample arrays once (_ConvEngine.trace_views). Per minibatch,
+_conv_loss convolves, per branch, each run of positions that the sampled
+rows' windows cover, once however many windows overlap it, and pools
+those windows, keeping each max's position. The head runs
+forward and backward as usual. A max passes gradient to its position alone
+and the conv layers carry no regularizer, so each branch's weight gradient
+is one product of the im2col rows at those positions with their dz.
 """
 
 from __future__ import annotations
@@ -54,12 +63,9 @@ from .errors import (
     WrongSequenceLengthError,
 )
 from .featurize import (
-    BranchSet,
     NormStats,
     SequenceBatch,
     chunk_sequences,
-    make_branch_set,
-    make_row_windows,
     zscore_apply,
     zscore_fit,
 )
@@ -77,6 +83,8 @@ from .nn import (
     evaluate_loss,
     make_optimizer,
 )
+from .nn.layers import activate_grad
+from .nn.network import data_loss_and_grad
 from .nn.recurrent import make_cell
 from .telemetry import DEFAULT_SAMPLE_PERIOD_S, Trace
 
@@ -395,6 +403,10 @@ class _Batches(NamedTuple):
     loss: str          # loss kind for evaluate_loss
     train: Callable    # (unit order, rng) -> iterator of (inputs, targets) minibatches
     val: Callable      # (unit indices) -> list of fixed (inputs, targets) batches
+    # The loss of a minibatch, with evaluate_loss's signature. None is
+    # evaluate_loss itself, looked up when called, so that a wrapper put on
+    # the module's name (a tracer) sees every call.
+    evaluate: Callable | None = None
 
 
 def _fit(artifact: ModelArtifact, batches: _Batches, config: TrainConfig):
@@ -414,6 +426,7 @@ def _fit(artifact: ModelArtifact, batches: _Batches, config: TrainConfig):
     if train_idx.size == 0:
         raise NoDataError(f"validation fraction leaves no training {batches.unit}")
     val_sets = batches.val(val_idx) if n_val else []
+    evaluate = batches.evaluate or evaluate_loss
 
     net = artifact.network
     optimizer = make_optimizer(config.optimizer)
@@ -424,7 +437,7 @@ def _fit(artifact: ModelArtifact, batches: _Batches, config: TrainConfig):
         order = train_idx[rng.permutation(train_idx.size)]
         losses = []
         for xs, targets in batches.train(order, rng):
-            loss, grads = evaluate_loss(net, xs, targets, batches.loss, mode="train", rng=rng)
+            loss, grads = evaluate(net, xs, targets, batches.loss, mode="train", rng=rng)
             optimizer.step(net.params(), grads)
             losses.append(loss)
         train_loss = float(np.mean(losses))
@@ -433,8 +446,7 @@ def _fit(artifact: ModelArtifact, batches: _Batches, config: TrainConfig):
         val_loss = None
         if val_sets:
             val_loss = float(np.mean([
-                evaluate_loss(net, xs, targets, batches.loss, mode="infer",
-                              with_grads=False)[0]
+                evaluate(net, xs, targets, batches.loss, mode="infer", with_grads=False)[0]
                 for xs, targets in val_sets]))
         monitored = train_loss if val_loss is None else val_loss
         scheduler.observe(monitored)
@@ -539,31 +551,100 @@ def _sample_training_rows(labels: np.ndarray, count: int, rng: np.random.Generat
     return picks
 
 
-def _window_batch(branches: BranchSet, rows: np.ndarray, window: WindowConfig) -> list[np.ndarray]:
-    wins = [make_row_windows(branches, int(i), window.raw_window, window.down_window)
-            for i in rows]
-    return [np.stack([w[s] for w in wins]) for s in range(5)]
+class _TraceBatch(NamedTuple):
+    """A conv minibatch: one trace's five padded branch sample arrays
+    (_ConvEngine.trace_views), each branch's decimation factor and lookback
+    window, and the trace rows sampled for this minibatch."""
+
+    samples: list[np.ndarray]
+    factors: tuple[int, ...]
+    wins: tuple[int, ...]
+    rows: np.ndarray | None = None
 
 
 def _conv_batches(artifact: ModelArtifact, traces: list[Trace], config: TrainConfig) -> _Batches:
-    """One minibatch per trace: config.rows_per_trace sampled rows' windows."""
+    """One minibatch per trace: config.rows_per_trace sampled rows, scored
+    by _conv_loss through the trace's branch views, built once."""
     if not traces:
         raise NoDataError("no training traces")
+    if any(branch.layers[0].reg != Regularizer() for branch in artifact.network.branches):
+        raise BadShapeError("conv layers must carry no regularizer: conv training takes "
+                            "their gradient at the pooled argmax positions only")
     encoded = [_encoded_rows(artifact, t.features) for t in traces]
     _fit_norm_if_missing(artifact, np.vstack(encoded))
-    prepared = [(make_branch_set(zscore_apply(artifact.norm, rows), t.meta.sample_period_s),
-                 t.labels) for rows, t in zip(encoded, traces)]
+    prepared = []
+    for rows, t in zip(encoded, traces):
+        engine = _ConvEngine(artifact, t.meta.sample_period_s)
+        views = engine.trace_views(zscore_apply(artifact.norm, rows))
+        prepared.append((_TraceBatch(views, engine.factors, engine.wins), t.labels))
 
     def train(order, rng):
         for ti in order:
-            branches, labels = prepared[ti]
+            batch, labels = prepared[ti]
             rows = _sample_training_rows(labels, config.rows_per_trace, rng)
-            yield _window_batch(branches, rows, artifact.window), labels[rows].astype(np.float64)
+            yield batch._replace(rows=rows), labels[rows].astype(np.float64)
 
     # Validation rows come from their own generator, drawn once, so the
     # monitored loss is comparable across epochs.
     return _Batches(len(prepared), "traces", "bce", train,
-                    lambda idx: list(train(idx, np.random.default_rng(config.seed + 1))))
+                    lambda idx: list(train(idx, np.random.default_rng(config.seed + 1))),
+                    _conv_loss)
+
+
+def _pooled_at(conv: Conv1D, x: np.ndarray, width: int, starts: np.ndarray):
+    """The pooled vectors of the windows of *width* conv positions over the
+    samples *x* that start at *starts* [B], [B, filters], and the position
+    of each max. Only the runs of positions those windows cover are
+    convolved, one Conv1D.forward each, so the cost is bounded by B * width
+    positions, however long the trace."""
+    s = np.unique(starts)
+    firsts = np.split(s, np.flatnonzero(s[1:] > s[:-1] + width) + 1)
+    runs = [(run[0], run[-1] + width) for run in firsts]
+    acts = np.concatenate([conv.forward(x[lo:hi + conv.kernel_size - 1], mode="infer")[0]
+                           for lo, hi in runs])
+    positions = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+    pooled, at = _sliding_max(acts, width, np.searchsorted(positions, starts))
+    return pooled, positions[at]
+
+
+def _conv_loss(net: MultiBranch, batch: _TraceBatch, targets, loss_kind: str,
+               mode: str = "train", rng=None, with_grads: bool = True):
+    """evaluate_loss of a conv minibatch, from its trace's branch views.
+
+    Each branch's conv runs in infer mode over the positions the sampled
+    rows' lookback windows cover (_pooled_at); each row pools the
+    activations its window covers, the first maximum winning as in
+    GlobalMaxPool1D. The head runs
+    as in MultiBranch.forward/backward. A pooled maximum passes gradient to
+    its argmax position alone, so a branch's weight gradient is one product
+    of the im2col rows at those positions with the dz gathered there, and
+    no input gradient is formed. This equals evaluate_loss over the rows'
+    materialized windows, up to float rounding.
+    """
+    convs = [branch.layers[0] for branch in net.branches]
+    pools = [_pooled_at(conv, x, win - conv.kernel_size + 1, batch.rows // factor)
+             for conv, x, factor, win in zip(convs, batch.samples, batch.factors, batch.wins)]
+    y, head_caches = net.head.forward(np.concatenate([p for p, _ in pools], axis=1),
+                                      mode=mode, rng=rng)
+    loss, gy = data_loss_and_grad(y, targets, loss_kind)
+    total = loss + net.penalty() + net.head.activity_penalty(head_caches)
+    if not with_grads:
+        return total, None
+    gjoined, head_grads = net.head.backward(head_caches, gy)
+    grads = {f"head.{name}": g for name, g in head_grads.items()}
+    offset = 0
+    for i, (conv, x, (pooled, at)) in enumerate(zip(convs, batch.samples, pools)):
+        nf, k = conv.filters, conv.kernel_size
+        dz = gjoined[:, offset:offset + nf] * activate_grad(conv.activation, pooled)
+        offset += nf
+        positions, slot = np.unique(at.reshape(-1), return_inverse=True)
+        dz_at = np.bincount(slot * nf + np.arange(at.size) % nf, dz.reshape(-1),
+                            len(positions) * nf).reshape(-1, nf)
+        windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=0)[positions]
+        cols = windows.transpose(0, 2, 1).reshape(len(positions), k * x.shape[1])
+        grads[f"branch{i}.0.W"] = (cols.T @ dz_at).reshape(conv.W.shape)
+        grads[f"branch{i}.0.b"] = dz.sum(axis=0)
+    return total, grads
 
 
 def train_model(artifact: ModelArtifact, data, config: TrainConfig):
@@ -583,13 +664,19 @@ def train_model(artifact: ModelArtifact, data, config: TrainConfig):
 # --- prediction ---------------------------------------------------------------
 
 
-def _sliding_max(values: np.ndarray, width: int) -> np.ndarray:
-    # [P, C] -> [P-width+1, C]: max over each length-`width` run of rows.
-    if values.shape[0] == width:
+def _sliding_max(values: np.ndarray, width: int, starts: np.ndarray | None = None):
+    """[P, C] -> [P-width+1, C]: the max over each length-*width* run of rows.
+    With *starts* [B], only the runs that start at those rows, [B, C], and
+    the row each max is at, [B, C], the first one on a tie."""
+    if starts is None and values.shape[0] == width:
         # One window (a live stream's step).
         return values.max(axis=0, keepdims=True)
     sw = np.lib.stride_tricks.sliding_window_view(values, width, axis=0)
-    return sw.max(axis=-1)
+    if starts is None:
+        return sw.max(axis=-1)
+    sw = sw[starts]  # [B, C, width]
+    at = sw.argmax(axis=-1)
+    return np.take_along_axis(sw, at[..., None], axis=-1)[..., 0], starts[:, None] + at
 
 
 class _Tail:
@@ -616,8 +703,9 @@ class _Tail:
 class _Branch:
     """One conv branch of a _ConvEngine: its last kernel - 1 inputs, its
     last win - kernel conv activations and its newest pooled vectors. It
-    starts as if front-padded with its first row, which is also its first
-    sample, so every padded activation is the first step's first one."""
+    starts as if front-padded with win - 1 copies of its first row, which is
+    also its first sample (the padding _ConvEngine.trace_views writes out),
+    so every padded activation is the first step's first one."""
 
     def __init__(self, conv: Conv1D, win: int, first: np.ndarray):
         self.conv, self.keep, self.width = conv, conv.kernel_size - 1, win - conv.kernel_size + 1
@@ -679,17 +767,27 @@ class _ConvEngine:
         if not self.seen:
             self.recent = _Tail(rows[:0])
             self.branches = [_Branch(conv, win, rows[:1]) for conv, win in zip(self.convs, self.wins)]
-        views = (rows, *self._smooth(rows), rows, rows)
+        history = self.recent.extend(rows, self.w_long - 1)
+        views = self._views(history, len(history) - len(rows))
         joined = np.concatenate([branch.step(view, self.seen, factor) for branch, view, factor
                                  in zip(self.branches, views, self.factors)], axis=1)
         self.seen += len(rows)
         return self.head.forward(joined, mode="infer")[0].reshape(-1)
 
-    def _smooth(self, rows: np.ndarray) -> list[np.ndarray]:
-        """The block's two smoothed views, from the kept rows plus the block."""
-        history = self.recent.extend(rows, self.w_long - 1)
-        return featurize.rolling_means(history, (self.w_short, self.w_long),
-                                       len(history) - len(rows))
+    def _views(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, ...]:
+        """The five branch views of rows[start:]: the rows, their two causal
+        rolling means (the rows before *start* feed only the means), and the
+        rows again for the decimated branches to sample."""
+        block = rows[start:]
+        return (block, *featurize.rolling_means(rows, (self.w_short, self.w_long), start),
+                block, block)
+
+    def trace_views(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Each branch's samples of a whole trace, as a fresh engine's
+        step_block(rows) convolves them: the branch's view, decimated
+        causally (view[::factor]), after win - 1 copies of its first sample."""
+        return [np.concatenate((np.repeat(view[:1], win - 1, axis=0), view[::factor]))
+                for view, factor, win in zip(self._views(rows), self.factors, self.wins)]
 
 
 def predict_rows(artifact: ModelArtifact, trace: Trace) -> np.ndarray:

@@ -56,13 +56,20 @@ class _Optimizer:
 
 
 class Adam(_Optimizer):
-    """Bias-corrected first/second moment update, applied in place."""
+    """Bias-corrected first/second moment update, applied in place.
+
+    Per parameter it keeps m, v and two work buffers, so a step allocates
+    nothing. Each step computes, in this order of operations:
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, and
+    p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps).
+    """
 
     def __init__(self, spec: OptimizerSpec):
         super().__init__(spec)
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self._check(params, grads)
@@ -72,21 +79,28 @@ class Adam(_Optimizer):
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(p))
             v = self.v.setdefault(name, np.zeros_like(p))
+            s1, s2 = self.buffers.setdefault(name, (np.empty_like(p), np.empty_like(p)))
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=s1)
             v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / (1.0 - b1 ** self.t)
-            vhat = v / (1.0 - b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + eps)
+            v += np.multiply(np.multiply(1.0 - b2, g, out=s1), g, out=s1)
+            denom = np.add(np.sqrt(np.divide(v, 1.0 - b2 ** self.t, out=s1), out=s1), eps, out=s1)
+            step = np.multiply(self.lr, np.divide(m, 1.0 - b1 ** self.t, out=s2), out=s2)
+            p -= np.divide(step, denom, out=s2)
 
 
 class RMSprop(_Optimizer):
-    """Decayed squared-gradient accumulator update, applied in place."""
+    """Decayed squared-gradient accumulator update, applied in place.
+
+    Per parameter it keeps v and two work buffers, so a step allocates
+    nothing. Each step computes, in this order of operations:
+    v = rho*v + ((1-rho)*g)*g and p -= (lr * g) / (sqrt(v) + eps).
+    """
 
     def __init__(self, spec: OptimizerSpec):
         super().__init__(spec)
         self.v: dict[str, np.ndarray] = {}
+        self.buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self._check(params, grads)
@@ -94,9 +108,11 @@ class RMSprop(_Optimizer):
         for name, p in params.items():
             g = grads[name]
             v = self.v.setdefault(name, np.zeros_like(p))
+            s1, s2 = self.buffers.setdefault(name, (np.empty_like(p), np.empty_like(p)))
             v *= rho
-            v += (1.0 - rho) * g * g
-            p -= self.lr * g / (np.sqrt(v) + eps)
+            v += np.multiply(np.multiply(1.0 - rho, g, out=s1), g, out=s1)
+            denom = np.add(np.sqrt(v, out=s1), eps, out=s1)
+            p -= np.divide(np.multiply(self.lr, g, out=s2), denom, out=s2)
 
 
 def make_optimizer(spec: OptimizerSpec) -> _Optimizer:

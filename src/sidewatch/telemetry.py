@@ -569,6 +569,29 @@ def _meta_from_dict(d: dict) -> TraceMeta:
     )
 
 
+# The faults that make a trace file unreadable as a trace.
+TRACE_FILE_ERRORS = (MalformedNameError, UnknownCategoryError, BadOnsetError,
+                     MissingColumnError, RaggedRowError, NonMonotonicTimeError,
+                     UndecodableRowError, EmptyTraceError)
+
+
+def parse_trace_files(root: str | Path, files, skipped: list[tuple[str, str]]):
+    """Parse the trace files *files*, (name, meta) pairs under *root* (a
+    meta of None is read from the name), in name order, yielding (name,
+    trace) for each one that parses. A file that does not
+    (TRACE_FILE_ERRORS) is appended to *skipped* as (name, reason) and the
+    others are still read; load_traces is the form that raises."""
+    root = Path(root)
+    for name, meta in sorted(files, key=lambda f: f[0]):
+        try:
+            trace = parse_trace_csv(root / name, meta=parse_trace_filename(name)
+                                    if meta is None else meta)
+        except TRACE_FILE_ERRORS as exc:
+            skipped.append((name, f"{type(exc).__name__}: {exc}"))
+        else:
+            yield name, trace
+
+
 def build_manifest(directory: str | Path) -> Manifest:
     """Index every parseable ``*.csv`` trace under *directory*.
 
@@ -576,21 +599,11 @@ def build_manifest(directory: str | Path) -> Manifest:
     the skipped section with the reason; output order is path-sorted so
     manifests are reproducible regardless of directory listing order.
     """
-    directory = Path(directory)
     manifest = Manifest()
-    for p in sorted(directory.glob("*.csv")):
-        if p.name == MANIFEST_FILENAME:
-            continue
-        try:
-            meta = parse_trace_filename(p.name)
-            trace = parse_trace_csv(p, meta=meta)
-        except (MalformedNameError, UnknownCategoryError, BadOnsetError,
-                MissingColumnError, RaggedRowError, NonMonotonicTimeError,
-                UndecodableRowError, EmptyTraceError) as exc:
-            manifest.skipped.append((p.name, f"{type(exc).__name__}: {exc}"))
-            continue
+    files = [(p.name, None) for p in Path(directory).glob("*.csv")]
+    for name, trace in parse_trace_files(directory, files, manifest.skipped):
         manifest.entries.append(
-            ManifestEntry(path=p.name, meta=trace.meta, row_count=trace.num_rows)
+            ManifestEntry(path=name, meta=trace.meta, row_count=trace.num_rows)
         )
     return manifest
 

@@ -111,6 +111,29 @@ class TestValidate:
         assert "row 1 is not UTF-8" in out
         assert "validated 1 traces, 0 violations, 1 skipped files" in out
 
+    @pytest.mark.parametrize("with_manifest", [False, True])
+    def test_every_file_is_checked(self, tmp_path, capsys, with_manifest):
+        # One clean file, one that stops parsing at a non-UTF-8 byte, one
+        # benign file labelled malicious. A manifest written before the bad
+        # byte went in still lists that file; it must not hide the others.
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        clean, undecodable, mislabelled = (corpus / f"{name}_Win7SP1_hw1_office.csv"
+                                           for name in ("a", "b", "c"))
+        clean.write_text("time_s,a,label\n0.0,1,0\n0.5,2,0\n")
+        undecodable.write_text("time_s,a,label\n0.0,1,0\n0.5,2,0\n")
+        mislabelled.write_text("time_s,a,label\n0.0,1,1\n0.5,2,1\n")
+        if with_manifest:
+            telemetry.save_manifest(telemetry.build_manifest(corpus),
+                                    corpus / telemetry.MANIFEST_FILENAME)
+        undecodable.write_bytes(b"time_s,a,label\n0.0,1,0\n0.5,\xff,0\n")
+        assert cli.main(["validate", "--corpus", str(corpus)]) == EXIT_DATA
+        out = capsys.readouterr().out
+        assert "b_Win7SP1_hw1_office.csv: skipped (UndecodableRowError: " in out
+        assert "row 1 is not UTF-8" in out
+        assert "c: benign-trace-all-benign at row 0: " in out
+        assert "validated 2 traces, 1 violations, 1 skipped files" in out
+
 
 class TestTrainEval:
     def test_artifact_reloads_and_predicts_identically(self, cli_corpus):

@@ -38,7 +38,7 @@ from sidewatch.models import (
     save_model,
     train_model,
 )
-from sidewatch.nn import Conv1D, OptimizerSpec
+from sidewatch.nn import Conv1D, GlobalMaxPool1D, OptimizerSpec, Regularizer, evaluate_loss
 from sidewatch.telemetry import SampleRow
 
 from conftest import random_trace
@@ -55,24 +55,37 @@ def v2_parts(data: bytes) -> tuple[dict, bytes]:
     return json.loads(data[V2_HEADER_START:end]), data[end:]
 
 
-def predict_rows_windowed(artifact, trace) -> np.ndarray:
-    """Reference per-row conv path: materialize every causal window set.
-
-    The independent slow route predict_rows is checked against. Its
-    decimated views keep the trailing partial block, the causal rule
-    predict_rows and the live stream follow.
-    """
-    rows = models._model_rows(artifact, trace.features)
-    branches = featurize.make_branch_set(rows, trace.meta.sample_period_s)
-    branches = dataclasses.replace(branches, down_mid=rows[::branches.mid_factor],
-                                   down_long=rows[::branches.long_factor])
+def reference_windows(artifact, trace, rows, causal=True) -> list[np.ndarray]:
+    """The five materialized causal windows of each of *rows*, stacked per
+    branch. With *causal* the decimated views keep the trailing partial
+    block, the rule predict_rows, the live stream and conv training follow;
+    without it they follow make_branch_set's floor-length rule."""
+    x = models._model_rows(artifact, trace.features)
+    branches = featurize.make_branch_set(x, trace.meta.sample_period_s)
+    if causal:
+        branches = dataclasses.replace(branches, down_mid=x[::branches.mid_factor],
+                                       down_long=x[::branches.long_factor])
     w = artifact.window
-    probs = np.empty(branches.num_rows)
-    for i in range(branches.num_rows):
-        xs = list(featurize.make_row_windows(branches, i, w.raw_window, w.down_window))
-        p, _ = artifact.network.forward(xs, mode="infer")
+    wins = [featurize.make_row_windows(branches, int(i), w.raw_window, w.down_window)
+            for i in rows]
+    return [np.stack([win[s] for win in wins]) for s in range(5)]
+
+
+def predict_rows_windowed(artifact, trace) -> np.ndarray:
+    """Reference per-row conv path: the independent slow route predict_rows
+    is checked against, one forward per row's windows."""
+    probs = np.empty(trace.num_rows)
+    for i in range(trace.num_rows):
+        p, _ = artifact.network.forward(reference_windows(artifact, trace, [i]), mode="infer")
         probs[i] = float(p.reshape(-1)[0])
     return probs
+
+
+def window_path_loss(artifact, trace, rows, targets, rng, causal) -> tuple:
+    """Reference conv training loss and gradients: evaluate_loss over
+    MultiBranch on the sampled rows' materialized windows."""
+    xs = reference_windows(artifact, trace, rows, causal)
+    return evaluate_loss(artifact.network, xs, targets, "bce", mode="train", rng=rng)
 
 
 def header_text(header: dict) -> bytes:
@@ -665,6 +678,111 @@ class TestConvEngine:
         assert engine.step_block(np.zeros((0, 2))).shape == (0,)
         np.testing.assert_allclose(np.concatenate([first, engine.step_block(rows[4:])]),
                                    models._ConvEngine(m, 0.5).step_block(rows), rtol=0, atol=1e-9)
+
+
+class TestConvTraining:
+    """Conv training through whole-trace branch views (models._conv_loss)."""
+
+    @given(data=st.data(), period=st.sampled_from([0.25, 0.5, 1.0]),
+           F=st.integers(1, 3), kernel=st.integers(1, 5), raw_extra=st.integers(0, 8),
+           down_extra=st.integers(0, 6), constant=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_loss_and_gradients_equal_the_window_path(self, data, period, F, kernel,
+                                                      raw_extra, down_extra, constant, seed):
+        down_window = kernel + down_extra
+        _, _, f_mid, f_long = featurize.branch_geometry(period)
+        # From shorter than a window to past the point where the decimated
+        # branches' windows fill; T mod factor is mostly not 0.
+        T = data.draw(st.integers(1, (down_window + 2) * f_long), label="T")
+        # Rows where the floor-length and causal decimation rules give the
+        # same sample; on the rest only the causal reference applies.
+        agree = min(T // f_mid * f_mid, T // f_long * f_long)
+        causal = not agree or data.draw(st.booleans(), label="causal reference")
+        limit = T if causal else agree
+        rows = np.array(data.draw(st.lists(st.integers(0, limit - 1), min_size=1, max_size=16),
+                                  label="rows"))
+        rng = np.random.default_rng(seed)
+        trace = random_trace(rng, T=T, F=F, period=period)
+        if constant:  # every pooled max is a tie
+            trace.features[:] = trace.features[0]
+        targets = rng.integers(0, 2, size=len(rows)).astype(np.float64)
+        m = build_conv_multibranch(F, filters=3, kernel=kernel, dense_units=4,
+                                   window=WindowConfig(kernel + raw_extra, down_window),
+                                   seed=seed)
+        m.norm = featurize.zscore_fit(np.vstack([trace.features, trace.features + 1.0]))
+
+        batches = models._conv_batches(m, [trace], TrainConfig())
+        batch, _ = next(batches.train(np.array([0]), np.random.default_rng(0)))
+        loss, grads = batches.evaluate(m.network, batch._replace(rows=rows), targets,
+                                       batches.loss, mode="train",
+                                       rng=np.random.default_rng(seed))
+        ref_loss, ref_grads = window_path_loss(m, trace, rows, targets,
+                                               np.random.default_rng(seed), causal)
+        assert loss == pytest.approx(ref_loss, rel=1e-9, abs=0)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-9,
+                                       atol=1e-9 * np.abs(ref).max(), err_msg=name)
+
+    def test_sliding_max_takes_the_first_max_like_global_max_pool(self):
+        values = np.random.default_rng(51).integers(0, 3, size=(40, 6)).astype(np.float64)
+        width, starts = 7, np.array([0, 3, 3, 33, 12, 0])
+        pooled, at = models._sliding_max(values, width, starts)
+        ref, cache = GlobalMaxPool1D().forward(np.stack([values[s:s + width] for s in starts]))
+        np.testing.assert_array_equal(pooled, ref)
+        np.testing.assert_array_equal(at, starts[:, None] + cache["idx"])
+        ties = models._sliding_max(np.ones((10, 2)), 4, np.arange(7))[1]
+        np.testing.assert_array_equal(ties, np.repeat(np.arange(7)[:, None], 2, axis=1))
+        np.testing.assert_array_equal(models._sliding_max(values, width),
+                                      np.stack([values[s:s + width].max(axis=0)
+                                                for s in range(40 - width + 1)]))
+
+    def test_long_trace_convolves_only_the_sampled_windows(self, monkeypatch):
+        # A minibatch's conv work (and im2col memory, positions x kernel x F)
+        # is bounded by rows_per_trace windows per branch, not by the trace
+        # length.
+        lengths = []
+        forward = Conv1D.forward
+
+        def recording(layer, x, *args, **kwargs):
+            lengths.append(len(x) - layer.kernel_size + 1)
+            return forward(layer, x, *args, **kwargs)
+
+        monkeypatch.setattr(Conv1D, "forward", recording)
+        rng = np.random.default_rng(52)
+        trace = random_trace(rng, T=20_000, F=2, category="worm", onset_row=10_000, period=0.5)
+        m = build_conv_multibranch(2, filters=3, kernel=4, dense_units=4,
+                                   window=WindowConfig(16, 8), seed=0)
+        rows = 4
+        batches = models._conv_batches(m, [trace], TrainConfig(rows_per_trace=rows))
+        batch, targets = next(batches.train(np.array([0]), rng))
+        batches.evaluate(m.network, batch, targets, batches.loss, mode="train", rng=rng)
+        assert sum(lengths) <= rows * (3 * (16 - 4 + 1) + 2 * (8 - 4 + 1))
+
+    def test_no_row_windows_are_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("conv training built per-row windows")
+
+        monkeypatch.setattr(featurize, "make_row_windows", refuse)
+        monkeypatch.setattr(models, "make_row_windows", refuse, raising=False)
+        build, traces, _ = _tiny_family_case("conv_multibranch")
+        train_model(build(), traces, TrainConfig(max_epochs=1, rows_per_trace=8))
+
+    def test_conv_regularizer_is_refused(self):
+        build, traces, _ = _tiny_family_case("conv_multibranch")
+        m = build()
+        m.network.branches[2].layers[0].reg = Regularizer(l2=1e-4)
+        with pytest.raises(BadShapeError, match="regularizer"):
+            train_model(m, traces, TrainConfig(max_epochs=1))
+
+    def test_same_seed_gives_byte_identical_artifacts(self, tmp_path):
+        build, traces, _ = _tiny_family_case("conv_multibranch")
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path in paths:
+            m, _ = train_model(build(), traces, TrainConfig(max_epochs=3, rows_per_trace=8,
+                                                            validation_fraction=0.34))
+            save_model(m, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestEncoders:

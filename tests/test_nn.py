@@ -231,6 +231,37 @@ class TestOptimizers:
             opt.step(w, {"w": g})
         assert w["w"][0] == pytest.approx(expect, abs=0.0)
 
+    @pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+    def test_in_place_steps_equal_the_plain_formulas_bit_for_bit(self, kind):
+        # The update written as plain expressions, one fresh array per
+        # operation; the optimizers reuse buffers and must keep every
+        # rounding of this order of operations.
+        spec = OptimizerSpec(kind=kind, learning_rate=3e-3)
+        b1, b2, rho, eps = spec.beta1, spec.beta2, spec.rho, spec.resolved_eps
+        rng = np.random.default_rng(50)
+        shapes = {"W": (4, 3, 5), "b": (5,), "s": ()}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        expect = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        opt = make_optimizer(spec)
+        for t, lr in enumerate((3e-3, 3e-3, 1.5e-3), start=1):
+            grads = {k: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
+                     for k, shape in shapes.items()}
+            opt.lr = lr
+            opt.step(params, grads)
+            for k, g in grads.items():
+                if kind == "adam":
+                    m[k] = b1 * m[k] + (1.0 - b1) * g
+                    v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                    mhat = m[k] / (1.0 - b1 ** t)
+                    vhat = v[k] / (1.0 - b2 ** t)
+                    expect[k] = expect[k] - lr * mhat / (np.sqrt(vhat) + eps)
+                else:
+                    v[k] = rho * v[k] + (1.0 - rho) * g * g
+                    expect[k] = expect[k] - lr * g / (np.sqrt(v[k]) + eps)
+                assert params[k].tobytes() == expect[k].tobytes(), (t, k)
+
     def test_shape_mismatch(self):
         opt = Adam(OptimizerSpec())
         with pytest.raises(ShapeMismatchError):
