@@ -51,11 +51,18 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
+def _positive(value: int) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _positive(int(text))
+
+
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive(value) for value in _int_list(text)]
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -585,7 +592,7 @@ def build_parser() -> _Parser:
                    help="mlp hidden sizes, comma-separated (default 100)")
     p.add_argument("--dim", type=int, default=20,
                    help="autoencoder bottleneck dimension (default 20)")
-    p.add_argument("--seq-len", type=int, default=40,
+    p.add_argument("--seq-len", type=_positive_int, default=40,
                    help="rnn training sequence length (default 40)")
     p.add_argument("--filters", type=int, default=64, help="conv filters (default 64)")
     p.add_argument("--kernel", type=int, default=32, help="conv kernel size (default 32)")
@@ -625,7 +632,7 @@ def build_parser() -> _Parser:
     p.add_argument("--families", type=_names_from(models.ROW_FAMILIES),
                    default=["mlp", "conv_multibranch"],
                    help="downstream families for the encoding sweep")
-    p.add_argument("--lengths", type=_int_list,
+    p.add_argument("--lengths", type=_positive_int_list,
                    default=[5, 20, 40, 80, 160, 320, 640, 960],
                    help="sequence lengths (default 5,20,40,80,160,320,640,960)")
     p.add_argument("--variants", type=_names_from(models.RNN_FAMILIES),

@@ -85,7 +85,7 @@ from .nn import (
 )
 from .nn.layers import activate_grad
 from .nn.network import data_loss_and_grad
-from .nn.recurrent import make_cell
+from .nn.recurrent import CELL_CLASSES, make_cell
 from .telemetry import DEFAULT_SAMPLE_PERIOD_S, Trace
 
 # The five recurrent families: family name -> (cell, bidirectional).
@@ -141,8 +141,6 @@ class ModelArtifact:
 
 
 def _describe_layer(layer) -> dict:
-    from .nn.recurrent import GRU, LSTM, VanillaRNN
-
     if isinstance(layer, Dense):
         spec = {"kind": "dense", "units": layer.units, "activation": layer.activation}
         reg = layer.reg
@@ -158,14 +156,11 @@ def _describe_layer(layer) -> dict:
     if isinstance(layer, Dropout):
         return {"kind": "dropout", "rate": layer.rate}
     if isinstance(layer, Bidirectional):
-        inner = _describe_layer(layer.fwd)
-        return {"kind": "bidirectional_wrapper", "wraps": inner["kind"],
+        return {"kind": "bidirectional_wrapper", "wraps": layer.fwd.kind,
                 "units": layer.units, "return_sequences": layer.return_sequences}
-    for cls, kind in ((VanillaRNN, "recurrent_vanilla"), (LSTM, "recurrent_lstm"),
-                      (GRU, "recurrent_gru")):
-        if isinstance(layer, cls):
-            return {"kind": kind, "units": layer.units,
-                    "return_sequences": layer.return_sequences}
+    if isinstance(layer, tuple(CELL_CLASSES.values())):
+        return {"kind": layer.kind, "units": layer.units,
+                "return_sequences": layer.return_sequences}
     return {"kind": type(layer).__name__}
 
 
@@ -315,7 +310,7 @@ def _rnn_network(F: int, hyper: dict, rng) -> Sequential:
 
 
 def _rnn_param_count(F: int, hyper: dict) -> int:
-    mult = {"vanilla": 1, "lstm": 4, "gru": 3}[hyper["cell"]]
+    mult = CELL_CLASSES[hyper["cell"]].gates
     directions = 2 if hyper["bidirectional"] else 1
     total, prev = 0, F
     for h in hyper["hidden"]:

@@ -6,6 +6,19 @@ zero. With ``return_sequences`` the layer emits its full hidden sequence
 The bidirectional wrapper runs a forward and a time-reversed pass with
 independent parameters and concatenates along the feature axis.
 
+``_Recurrent`` owns the one forward and the one backward time loop. A cell
+supplies ``_step``, its gate arithmetic for one step, and ``_adjoint``,
+that step's backward: the step's pre-activation gradient and the gradient
+carried to the step before. What does not depend on the recurrence is
+hoisted out of the loops (Appleyard et al. 2016, arXiv:1604.01946): one
+[B*T, F] @ [F, G*H] GEMM before the forward loop, and after the backward
+loop, over the per-step gradients DA [B, T, G*H] it collects, one GEMM
+each for dWx = X^T DA, gx = DA Wx^T and dWh = H_prev^T DA (GRU's candidate
+block takes r * h_prev for h_prev). Only the products with Wh stay in the
+loops. Per-step values live in buffers of
+T + 1 steps whose step 0 is the zero initial state: the state (h, or
+[h | c] for the LSTM) and, for LSTM and GRU, the gate activations.
+
 Gate layouts: LSTM packs (input, forget, candidate, output) gates into
 [., 4H] matrices; GRU packs (update, reset, candidate) into [., 3H] with
 the classic reset-before-matmul candidate, so parameter counts are 4x and
@@ -21,245 +34,145 @@ from .layers import Layer, _promote, _sigmoid, glorot_uniform
 
 
 class _Recurrent(Layer):
-    def __init__(self, in_dim: int, units: int, return_sequences: bool = False):
+    gates: int  # G: Wx, Wh and b are G*H wide
+    kind: str  # the cell's name in layer specs
+    saves: tuple[int, ...] = (1,)  # per-step buffer widths, in units of H
+
+    def __init__(self, in_dim: int, units: int, return_sequences: bool = False, rng=None):
         self.in_dim = in_dim
         self.units = units
         self.return_sequences = return_sequences
+        rng = rng or np.random.default_rng()
+        width = self.gates * units
+        self.Wx = glorot_uniform(rng, (in_dim, width), in_dim, width)
+        self.Wh = glorot_uniform(rng, (units, width), units, width)
+        self.b = np.zeros(width, dtype=np.float64)
 
-    def _promote_input(self, x):
+    def params(self):
+        return {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}
+
+    def forward(self, x, mode: str = "infer", rng=None):
         xb, squeezed = _promote(x, 2, f"{type(self).__name__} input")
-        if xb.shape[2] != self.in_dim:
+        B, T, F = xb.shape
+        if F != self.in_dim:
             raise ShapeMismatchError(
-                f"{type(self).__name__} expects {self.in_dim} features, got {xb.shape[2]}"
+                f"{type(self).__name__} expects {self.in_dim} features, got {F}"
             )
-        return xb, squeezed
-
-    def _emit(self, hs: np.ndarray, squeezed: bool) -> np.ndarray:
+        X = xb.reshape(B * T, F)
+        xw = (X @ self.Wx).reshape(B, T, -1)
+        seq = [np.zeros((B, T + 1, w * self.units)) for w in self.saves]
+        for t in range(T):
+            self._step(xw[:, t], [s[:, t] for s in seq], [s[:, t + 1] for s in seq])
+        hs = seq[0][:, 1:, : self.units]
         y = hs if self.return_sequences else hs[:, -1]
-        return y[0] if squeezed else y
+        cache = {"layer": self, "x": X, "seq": seq, "squeezed": squeezed}
+        return (y[0] if squeezed else y), cache
 
-    def _seq_grad(self, gy, B: int, T: int, squeezed: bool) -> np.ndarray:
-        """Spread the upstream gradient over time steps."""
-        g = np.asarray(gy, dtype=np.float64)
-        if squeezed:
-            g = g[None, ...]
-        if self.return_sequences:
-            return g
-        gh = np.zeros((B, T, self.units), dtype=np.float64)
-        gh[:, -1] = g
-        return gh
+    def backward(self, cache, gy):
+        self._check_cache(cache)
+        X, seq, squeezed = cache["x"], cache["seq"], cache["squeezed"]
+        B, T, H = seq[0].shape[0], seq[0].shape[1] - 1, self.units
+        gh = np.asarray(gy, dtype=np.float64).reshape(B, -1, H)
+        if not self.return_sequences:  # the gradient enters at the last step only
+            gh = np.concatenate([np.zeros((B, T - 1, H)), gh], axis=1)
+        da = np.empty((B, T, self.gates * H))
+        carry = np.zeros_like(seq[0][:, 0])
+        for t in range(T - 1, -1, -1):
+            da[:, t], carry = self._adjoint(
+                gh[:, t], carry, [s[:, t] for s in seq], [s[:, t + 1] for s in seq])
+        da = da.reshape(B * T, -1)
+        h_prev = seq[0][:, :T, :H].reshape(B * T, H)
+        grads = {"Wx": X.T @ da, "Wh": self._dWh(h_prev, seq, da), "b": da.sum(axis=0)}
+        gx = (da @ self.Wx.T).reshape(B, T, -1)
+        return (gx[0] if squeezed else gx), grads
+
+    def _dWh(self, h_prev, seq, da) -> np.ndarray:
+        """H_prev^T DA, where h_prev [B*T, H] is the state each step read."""
+        return h_prev.T @ da
 
 
 class VanillaRNN(_Recurrent):
     """h_t = tanh(x_t Wx + h_{t-1} Wh + b)"""
 
-    def __init__(self, in_dim, units, return_sequences=False, rng=None):
-        super().__init__(in_dim, units, return_sequences)
-        rng = rng or np.random.default_rng()
-        self.Wx = glorot_uniform(rng, (in_dim, units), in_dim, units)
-        self.Wh = glorot_uniform(rng, (units, units), units, units)
-        self.b = np.zeros(units, dtype=np.float64)
+    gates, kind = 1, "recurrent_vanilla"
 
-    def params(self):
-        return {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}
+    def _step(self, xw, prev, cur):
+        np.tanh(xw + prev[0] @ self.Wh + self.b, out=cur[0])
 
-    def forward(self, x, mode: str = "infer", rng=None):
-        xb, squeezed = self._promote_input(x)
-        B, T, _ = xb.shape
-        hs = np.empty((B, T, self.units), dtype=np.float64)
-        h = np.zeros((B, self.units), dtype=np.float64)
-        for t in range(T):
-            h = np.tanh(xb[:, t] @ self.Wx + h @ self.Wh + self.b)
-            hs[:, t] = h
-        cache = {"layer": self, "x": xb, "hs": hs, "squeezed": squeezed}
-        return self._emit(hs, squeezed), cache
-
-    def backward(self, cache, gy):
-        self._check_cache(cache)
-        xb, hs, squeezed = cache["x"], cache["hs"], cache["squeezed"]
-        B, T, _ = xb.shape
-        gh_seq = self._seq_grad(gy, B, T, squeezed)
-        dWx = np.zeros_like(self.Wx)
-        dWh = np.zeros_like(self.Wh)
-        db = np.zeros_like(self.b)
-        gx = np.empty_like(xb)
-        carry = np.zeros((B, self.units), dtype=np.float64)
-        for t in range(T - 1, -1, -1):
-            dh = gh_seq[:, t] + carry
-            da = dh * (1.0 - hs[:, t] ** 2)
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, self.units))
-            dWx += xb[:, t].T @ da
-            dWh += h_prev.T @ da
-            db += da.sum(axis=0)
-            gx[:, t] = da @ self.Wx.T
-            carry = da @ self.Wh.T
-        return (gx[0] if squeezed else gx), {"Wx": dWx, "Wh": dWh, "b": db}
+    def _adjoint(self, gh, carry, prev, cur):
+        da = (gh + carry) * (1.0 - cur[0] ** 2)
+        return da, da @ self.Wh.T
 
 
 class LSTM(_Recurrent):
-    def __init__(self, in_dim, units, return_sequences=False, rng=None):
-        super().__init__(in_dim, units, return_sequences)
-        rng = rng or np.random.default_rng()
-        H = units
-        self.Wx = glorot_uniform(rng, (in_dim, 4 * H), in_dim, 4 * H)
-        self.Wh = glorot_uniform(rng, (H, 4 * H), H, 4 * H)
-        self.b = np.zeros(4 * H, dtype=np.float64)
+    gates, kind, saves = 4, "recurrent_lstm", (2, 4)
 
-    def params(self):
-        return {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}
+    # Bound here and in GRU, not only inherited: bench/tracing.py wraps the
+    # forward and backward it finds in each class's own __dict__.
+    forward, backward = _Recurrent.forward, _Recurrent.backward
 
-    def forward(self, x, mode: str = "infer", rng=None):
-        xb, squeezed = self._promote_input(x)
-        B, T, _ = xb.shape
+    def _step(self, xw, prev, cur):
         H = self.units
-        hs = np.empty((B, T, H))
-        cs = np.empty((B, T, H))
-        gates = np.empty((B, T, 4 * H))
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        for t in range(T):
-            z = xb[:, t] @ self.Wx + h @ self.Wh + self.b
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            hs[:, t] = h
-            cs[:, t] = c
-            gates[:, t, :H] = i
-            gates[:, t, H : 2 * H] = f
-            gates[:, t, 2 * H : 3 * H] = g
-            gates[:, t, 3 * H :] = o
-        cache = {"layer": self, "x": xb, "hs": hs, "cs": cs, "gates": gates, "squeezed": squeezed}
-        return self._emit(hs, squeezed), cache
+        state, acts = cur
+        a = xw + prev[0][:, :H] @ self.Wh + self.b
+        acts[:] = _sigmoid(a)
+        acts[:, 2 * H : 3 * H] = np.tanh(a[:, 2 * H : 3 * H])
+        i, f, g, o = (acts[:, k * H : (k + 1) * H] for k in range(4))
+        state[:, H:] = f * prev[0][:, H:] + i * g
+        state[:, :H] = o * np.tanh(state[:, H:])
 
-    def backward(self, cache, gy):
-        self._check_cache(cache)
-        xb, hs, cs, gates = cache["x"], cache["hs"], cache["cs"], cache["gates"]
-        squeezed = cache["squeezed"]
-        B, T, _ = xb.shape
+    def _adjoint(self, gh, carry, prev, cur):
         H = self.units
-        gh_seq = self._seq_grad(gy, B, T, squeezed)
-        dWx = np.zeros_like(self.Wx)
-        dWh = np.zeros_like(self.Wh)
-        db = np.zeros_like(self.b)
-        gx = np.empty_like(xb)
-        dh_carry = np.zeros((B, H))
-        dc_carry = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            i = gates[:, t, :H]
-            f = gates[:, t, H : 2 * H]
-            g = gates[:, t, 2 * H : 3 * H]
-            o = gates[:, t, 3 * H :]
-            c_prev = cs[:, t - 1] if t > 0 else np.zeros((B, H))
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
-            tc = np.tanh(cs[:, t])
-            dh = gh_seq[:, t] + dh_carry
-            do = dh * tc
-            dc = dc_carry + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_carry = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dWx += xb[:, t].T @ dz
-            dWh += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            gx[:, t] = dz @ self.Wx.T
-            dh_carry = dz @ self.Wh.T
-        return (gx[0] if squeezed else gx), {"Wx": dWx, "Wh": dWh, "b": db}
+        i, f, g, o = (cur[1][:, k * H : (k + 1) * H] for k in range(4))
+        c_prev = prev[0][:, H:]
+        tc = np.tanh(cur[0][:, H:])
+        dh = gh + carry[:, :H]
+        dc = carry[:, H:] + dh * o * (1.0 - tc * tc)
+        da = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+        return da, np.concatenate([da @ self.Wh.T, dc * f], axis=1)
 
 
 class GRU(_Recurrent):
-    def __init__(self, in_dim, units, return_sequences=False, rng=None):
-        super().__init__(in_dim, units, return_sequences)
-        rng = rng or np.random.default_rng()
-        H = units
-        self.Wx = glorot_uniform(rng, (in_dim, 3 * H), in_dim, 3 * H)
-        self.Wh = glorot_uniform(rng, (H, 3 * H), H, 3 * H)
-        self.b = np.zeros(3 * H, dtype=np.float64)
+    gates, kind, saves = 3, "recurrent_gru", (1, 3)
 
-    def params(self):
-        return {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}
+    forward, backward = _Recurrent.forward, _Recurrent.backward
 
-    def forward(self, x, mode: str = "infer", rng=None):
-        xb, squeezed = self._promote_input(x)
-        B, T, _ = xb.shape
+    def _step(self, xw, prev, cur):
         H = self.units
-        hs = np.empty((B, T, H))
-        zs = np.empty((B, T, H))
-        rs = np.empty((B, T, H))
-        hhs = np.empty((B, T, H))
-        h = np.zeros((B, H))
-        for t in range(T):
-            px = xb[:, t] @ self.Wx + self.b
-            ph = h @ self.Wh[:, : 2 * H]
-            z = _sigmoid(px[:, :H] + ph[:, :H])
-            r = _sigmoid(px[:, H : 2 * H] + ph[:, H:])
-            hh = np.tanh(px[:, 2 * H :] + (r * h) @ self.Wh[:, 2 * H :])
-            h = (1.0 - z) * h + z * hh
-            hs[:, t] = h
-            zs[:, t] = z
-            rs[:, t] = r
-            hhs[:, t] = hh
-        cache = {
-            "layer": self, "x": xb, "hs": hs, "zs": zs, "rs": rs, "hhs": hhs,
-            "squeezed": squeezed,
-        }
-        return self._emit(hs, squeezed), cache
+        h, (state, acts) = prev[0], cur
+        px = xw + self.b
+        acts[:, : 2 * H] = _sigmoid(px[:, : 2 * H] + h @ self.Wh[:, : 2 * H])
+        z, r = acts[:, :H], acts[:, H : 2 * H]
+        acts[:, 2 * H :] = np.tanh(px[:, 2 * H :] + (r * h) @ self.Wh[:, 2 * H :])
+        state[:] = (1.0 - z) * h + z * acts[:, 2 * H :]
 
-    def backward(self, cache, gy):
-        self._check_cache(cache)
-        xb, hs, zs, rs, hhs = cache["x"], cache["hs"], cache["zs"], cache["rs"], cache["hhs"]
-        squeezed = cache["squeezed"]
-        B, T, _ = xb.shape
+    def _adjoint(self, gh, carry, prev, cur):
         H = self.units
-        gh_seq = self._seq_grad(gy, B, T, squeezed)
-        dWx = np.zeros_like(self.Wx)
-        dWh = np.zeros_like(self.Wh)
-        db = np.zeros_like(self.b)
-        gx = np.empty_like(xb)
-        dh_carry = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            z, r, hh = zs[:, t], rs[:, t], hhs[:, t]
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
-            dh = gh_seq[:, t] + dh_carry
-            dz_gate = dh * (hh - h_prev)
-            dhh = dh * z
-            dh_prev = dh * (1.0 - z)
-            dah = dhh * (1.0 - hh * hh)
-            drh = dah @ self.Wh[:, 2 * H :].T
-            dr = drh * h_prev
-            dh_prev = dh_prev + drh * r
-            daz = dz_gate * z * (1.0 - z)
-            dar = dr * r * (1.0 - r)
-            da = np.concatenate([daz, dar, dah], axis=1)
-            dWx += xb[:, t].T @ da
-            db += da.sum(axis=0)
-            dWh[:, :H] += h_prev.T @ daz
-            dWh[:, H : 2 * H] += h_prev.T @ dar
-            dWh[:, 2 * H :] += (r * h_prev).T @ dah
-            dh_prev = dh_prev + daz @ self.Wh[:, :H].T + dar @ self.Wh[:, H : 2 * H].T
-            gx[:, t] = da @ self.Wx.T
-            dh_carry = dh_prev
-        return (gx[0] if squeezed else gx), {"Wx": dWx, "Wh": dWh, "b": db}
+        z, r, hh = (cur[1][:, k * H : (k + 1) * H] for k in range(3))
+        h_prev = prev[0]
+        dh = gh + carry
+        dah = dh * z * (1.0 - hh * hh)
+        drh = dah @ self.Wh[:, 2 * H :].T
+        daz = dh * (hh - h_prev) * z * (1.0 - z)
+        dar = drh * h_prev * r * (1.0 - r)
+        da = np.concatenate([daz, dar, dah], axis=1)
+        return da, dh * (1.0 - z) + drh * r + da[:, : 2 * H] @ self.Wh[:, : 2 * H].T
+
+    def _dWh(self, h_prev, seq, da):
+        # The candidate block multiplies r * h_prev by Wh, not h_prev.
+        H = self.units
+        r = seq[1][:, 1:, H : 2 * H].reshape(-1, H)
+        return np.concatenate(
+            [h_prev.T @ da[:, : 2 * H], (r * h_prev).T @ da[:, 2 * H :]], axis=1)
 
 
-_CELL_CLASSES = {"vanilla": VanillaRNN, "lstm": LSTM, "gru": GRU}
+CELL_CLASSES = {"vanilla": VanillaRNN, "lstm": LSTM, "gru": GRU}
 
 
 def make_cell(kind: str, in_dim: int, units: int, return_sequences: bool, rng) -> _Recurrent:
     try:
-        cls = _CELL_CLASSES[kind]
+        cls = CELL_CLASSES[kind]
     except KeyError:
         raise ValueError(f"unknown recurrent cell kind {kind!r}") from None
     return cls(in_dim, units, return_sequences=return_sequences, rng=rng)

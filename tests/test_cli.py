@@ -145,7 +145,8 @@ class TestTrainEval:
         p2 = predict_rows(models.load_model(model_path), test[0])
         np.testing.assert_array_equal(p1, p2)
 
-    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size", "--rows-per-trace"])
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size", "--rows-per-trace",
+                                      "--seq-len"])
     def test_zero_count_is_usage_error(self, cli_corpus, flag, capsys):
         root, corpus, _ = cli_corpus
         with pytest.raises(SystemExit) as exc:
@@ -323,6 +324,23 @@ class TestSweepCommand:
         assert exc.value.code == EXIT_USAGE
         bad = value.split(",")[1]
         assert repr(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "5,0"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_nonpositive_sequence_length_is_usage_error(self, tmp_path, capsys, value,
+                                                        route):
+        # The corpus does not exist: the length must be refused before it loads.
+        argv = ["sweep", "seqlen", "--corpus", str(tmp_path / "absent")]
+        if route == "flag":
+            argv += ["--lengths", value]
+        else:
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps({"lengths": [int(v) for v in value.split(",")]}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestDetect:

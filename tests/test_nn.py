@@ -27,6 +27,7 @@ from sidewatch.nn import (
     make_optimizer,
     mse_loss,
 )
+from sidewatch.nn.layers import _sigmoid
 
 
 class TestForwardOracles:
@@ -356,6 +357,153 @@ class TestGradients:
         x = rng.normal(size=(3, 4))
         err = grad_check(net, x, x, loss_kind="mse")
         assert err <= 1e-6
+
+
+# Reference cells for TestRecurrentLoop: a forward and a backward loop per
+# cell, written out step by step with every input product taken per step.
+# gh [B, T, H] is the upstream gradient of every step's hidden state.
+
+
+def _reference_vanilla(layer, xb, gh):
+    B, T, _ = xb.shape
+    hs = np.empty((B, T, layer.units))
+    h = np.zeros((B, layer.units))
+    for t in range(T):
+        h = np.tanh(xb[:, t] @ layer.Wx + h @ layer.Wh + layer.b)
+        hs[:, t] = h
+    dWx, dWh, db = (np.zeros_like(p) for p in (layer.Wx, layer.Wh, layer.b))
+    gx = np.empty_like(xb)
+    carry = np.zeros((B, layer.units))
+    for t in range(T - 1, -1, -1):
+        dh = gh[:, t] + carry
+        da = dh * (1.0 - hs[:, t] ** 2)
+        h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, layer.units))
+        dWx += xb[:, t].T @ da
+        dWh += h_prev.T @ da
+        db += da.sum(axis=0)
+        gx[:, t] = da @ layer.Wx.T
+        carry = da @ layer.Wh.T
+    return hs, gx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+def _reference_lstm(layer, xb, gh):
+    B, T, _ = xb.shape
+    H = layer.units
+    hs, cs, gates = np.empty((B, T, H)), np.empty((B, T, H)), np.empty((B, T, 4 * H))
+    h, c = np.zeros((B, H)), np.zeros((B, H))
+    for t in range(T):
+        z = xb[:, t] @ layer.Wx + h @ layer.Wh + layer.b
+        i = _sigmoid(z[:, :H])
+        f = _sigmoid(z[:, H : 2 * H])
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = _sigmoid(z[:, 3 * H :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[:, t], cs[:, t] = h, c
+        gates[:, t] = np.concatenate([i, f, g, o], axis=1)
+    dWx, dWh, db = (np.zeros_like(p) for p in (layer.Wx, layer.Wh, layer.b))
+    gx = np.empty_like(xb)
+    dh_carry, dc_carry = np.zeros((B, H)), np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        i, f, g, o = np.split(gates[:, t], 4, axis=1)
+        c_prev = cs[:, t - 1] if t > 0 else np.zeros((B, H))
+        h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
+        tc = np.tanh(cs[:, t])
+        dh = gh[:, t] + dh_carry
+        do = dh * tc
+        dc = dc_carry + dh * o * (1.0 - tc * tc)
+        di, df, dg = dc * g, dc * c_prev, dc * i
+        dc_carry = dc * f
+        dz = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f),
+                             dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        dWx += xb[:, t].T @ dz
+        dWh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        gx[:, t] = dz @ layer.Wx.T
+        dh_carry = dz @ layer.Wh.T
+    return hs, gx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+def _reference_gru(layer, xb, gh):
+    B, T, _ = xb.shape
+    H = layer.units
+    hs, zs, rs, hhs = (np.empty((B, T, H)) for _ in range(4))
+    h = np.zeros((B, H))
+    for t in range(T):
+        px = xb[:, t] @ layer.Wx + layer.b
+        ph = h @ layer.Wh[:, : 2 * H]
+        z = _sigmoid(px[:, :H] + ph[:, :H])
+        r = _sigmoid(px[:, H : 2 * H] + ph[:, H:])
+        hh = np.tanh(px[:, 2 * H :] + (r * h) @ layer.Wh[:, 2 * H :])
+        h = (1.0 - z) * h + z * hh
+        hs[:, t], zs[:, t], rs[:, t], hhs[:, t] = h, z, r, hh
+    dWx, dWh, db = (np.zeros_like(p) for p in (layer.Wx, layer.Wh, layer.b))
+    gx = np.empty_like(xb)
+    dh_carry = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        z, r, hh = zs[:, t], rs[:, t], hhs[:, t]
+        h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
+        dh = gh[:, t] + dh_carry
+        dz_gate = dh * (hh - h_prev)
+        dah = dh * z * (1.0 - hh * hh)
+        drh = dah @ layer.Wh[:, 2 * H :].T
+        dh_prev = dh * (1.0 - z) + drh * r
+        daz = dz_gate * z * (1.0 - z)
+        dar = drh * h_prev * r * (1.0 - r)
+        da = np.concatenate([daz, dar, dah], axis=1)
+        dWx += xb[:, t].T @ da
+        db += da.sum(axis=0)
+        dWh[:, :H] += h_prev.T @ daz
+        dWh[:, H : 2 * H] += h_prev.T @ dar
+        dWh[:, 2 * H :] += (r * h_prev).T @ dah
+        dh_prev = dh_prev + daz @ layer.Wh[:, :H].T + dar @ layer.Wh[:, H : 2 * H].T
+        gx[:, t] = da @ layer.Wx.T
+        dh_carry = dh_prev
+    return hs, gx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+_REFERENCE_CELLS = {VanillaRNN: _reference_vanilla, LSTM: _reference_lstm,
+                    GRU: _reference_gru}
+
+
+def _assert_rel_close(actual, expected, tol, what):
+    """Max-abs error within tol of expected's max-abs (exact when it is 0:
+    dWh at T = 1, where h_prev is the zero initial state)."""
+    err, scale = np.max(np.abs(actual - expected)), np.max(np.abs(expected))
+    assert err <= tol * scale, f"{what}: error {err:.3g} > {tol:g} x {scale:.3g}"
+
+
+class TestRecurrentLoop:
+    """The shared time loop with hoisted input products against each cell's
+    own per-step forward and backward loops (the reference functions above),
+    including T = 1, where the first step is also the last."""
+
+    @pytest.mark.parametrize("cls", [VanillaRNN, LSTM, GRU])
+    @pytest.mark.parametrize("batch", [None, 1, 3])  # None: a squeezed [T, F] input
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    def test_matches_the_per_step_reference(self, cls, batch, T, return_sequences):
+        rng = np.random.default_rng([T, batch or 0, return_sequences])
+        layer = cls(5, 4, return_sequences=return_sequences, rng=rng)
+        layer.b[...] = rng.normal(scale=0.5, size=layer.b.shape)
+        xb = rng.normal(size=(batch or 1, T, 5))
+        gh = rng.normal(size=(batch or 1, T, 4))
+        if not return_sequences:
+            gh[:, :-1] = 0.0
+        ref_hs, ref_gx, ref_grads = _REFERENCE_CELLS[cls](layer, xb, gh)
+
+        x = xb if batch else xb[0]
+        gy = gh if return_sequences else gh[:, -1]
+        y, cache = layer.forward(x, mode="train")
+        gx, grads = layer.backward(cache, gy if batch else gy[0])
+        ref_y = ref_hs if return_sequences else ref_hs[:, -1]
+        assert y.shape == (ref_y if batch else ref_y[0]).shape
+        assert gx.shape == x.shape
+        _assert_rel_close(y, ref_y if batch else ref_y[0], 1e-12, "output")
+        _assert_rel_close(gx, ref_gx if batch else ref_gx[0], 1e-10, "input gradient")
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            _assert_rel_close(g, ref_grads[name], 1e-10, name)
 
 
 class TestDeterminismAndSymmetry:
