@@ -14,8 +14,9 @@ configuration next to its outputs so runs are reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from .detector import DetectorConfig, StreamState, stream_step
 from .errors import SidewatchError
 from .models import TrainConfig
 from .nn import OptimizerSpec
-from .telemetry import MANIFEST_FILENAME
+from .telemetry import DEFAULT_SAMPLE_PERIOD_S, MANIFEST_FILENAME, TraceSchema
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,18 +52,25 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _positive(value: int) -> int:
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(convert, allowed, rule: str):
+    """A flag type: convert(text), refused with a usage error unless
+    allowed(value); *rule* names the allowed values."""
+    def check(text: str):
+        value = convert(text)
+        if not allowed(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    check.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return check
 
 
-def _positive_int(text: str) -> int:
-    return _positive(int(text))
-
-
-def _positive_int_list(text: str) -> list[int]:
-    return [_positive(value) for value in _int_list(text)]
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_count = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_probability = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_fraction = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_positive_int_list = _checked(_int_list, lambda vs: all(v >= 1 for v in vs),
+                              "a list of positive integers")
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -134,9 +142,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cutoff", type=float, default=0.5,
+    p.add_argument("--cutoff", type=_probability, default=0.5,
                    help="row probability above which a row is malicious (default 0.5)")
-    p.add_argument("--threshold", type=int, default=50,
+    p.add_argument("--threshold", type=_positive_int, default=50,
                    help="consecutive malicious samples to flag a file (default 50)")
     p.add_argument("--period", type=float, default=0.5,
                    help="sample period in seconds for detection timing (default 0.5)")
@@ -149,12 +157,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="maximum training epochs/iterations (default 100)")
     p.add_argument("--batch-size", type=_positive_int, default=32,
                    help="minibatch size (default 32)")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
+    p.add_argument("--lr", type=_positive_float, default=1e-3, help="learning rate (default 1e-3)")
     p.add_argument("--optimizer", choices=("adam", "rmsprop"), default="adam",
                    help="optimizer kind (default adam)")
-    p.add_argument("--patience", type=int, default=None,
+    p.add_argument("--patience", type=_count, default=None,
                    help="early-stop patience in epochs (default: no early stop)")
-    p.add_argument("--val-fraction", type=float, default=0.0,
+    p.add_argument("--val-fraction", type=_fraction, default=0.0,
                    help="fraction of training data held out for validation (default 0)")
     p.add_argument("--rows-per-trace", type=_positive_int, default=16,
                    help="conv training rows sampled per trace per epoch (default 16)")
@@ -347,76 +355,6 @@ def _cmd_sweep(args) -> int:
 # --- detect --------------------------------------------------------------------
 
 
-# The most rows detect scores as one block: it bounds the memory and the
-# work of a block under --follow.
-BLOCK_ROWS = 1024
-_READ_BYTES = 1 << 16
-
-
-def _line_blocks(fh, wait: bool, drain: bool, poll_s: float):
-    """Yield lists of at most BLOCK_ROWS complete lines (bytes): each what
-    the source holds now. A file is read to its current end (*drain*), a
-    pipe once per block. With *wait*, a line is given only once its line
-    end has arrived; otherwise a last line without one is given as it stands.
-    """
-    lines, partial, ended = [], b"", False
-    while lines or not ended:
-        if len(lines) < BLOCK_ROWS and not ended:
-            data = fh.read1(_READ_BYTES)
-            if data:
-                got = (partial + data).splitlines(keepends=True)
-                partial = b"" if got[-1].endswith((b"\n", b"\r")) else got.pop()
-                lines += got
-                if drain:
-                    continue
-            elif not wait:
-                lines += [partial] if partial else []
-                ended = True
-            elif not lines:
-                time.sleep(poll_s)  # the writer has not finished a line yet
-                continue
-        if lines:
-            yield lines[:BLOCK_ROWS]
-            del lines[:BLOCK_ROWS]
-
-
-def _read_blocks(source, follow: bool, poll_s: float = 0.2):
-    """Yield (index, times, features) blocks of the rows of a trace CSV
-    path or '-' (stdin): index is the block's first row, times [n] and
-    features [n, F] its rows' (see _line_blocks for what a block holds).
-
-    Cells are read by the trace file rules (telemetry.RowParser), a block
-    at a time. A bad row ends the source: the rows before it are yielded,
-    then its error raised.
-    """
-    stdin = source == "-"
-    fh = sys.stdin.buffer if stdin else open(source, "rb")
-    try:
-        parser = None
-        for lines in _line_blocks(fh, follow and not stdin, not stdin, poll_s):
-            rows = []
-            for line in lines:
-                text = line.decode("utf-8", "surrogateescape")
-                if not text.strip():
-                    continue
-                cells = next(csv.reader([text]))
-                if parser is None:
-                    parser = telemetry.RowParser(cells, where=str(source))
-                else:
-                    rows.append(cells)
-            if not rows:
-                continue
-            first = parser.rows
-            times, features, _, error = parser.parse_rows(rows)
-            if len(times):
-                yield first, times, features
-            if error is not None:
-                raise error
-    finally:
-        if not stdin:
-            fh.close()
-
-
 # A checkpoint's fields and the JSON types each must have.
 _CHECKPOINT_FIELDS = {"rows_seen": int, "run": int, "alerted": bool,
                       "alert_row": (int, type(None)), "source_rows_read": int}
@@ -465,24 +403,29 @@ def _cmd_detect(args) -> int:
         start_index = saved["source_rows_read"]
 
     events_fh = open(args.events, "a", encoding="utf-8") if args.events else sys.stdout
+    stdin = args.source == "-"
     rows_read = 0
     events = []  # the event lines of the block, written when it is done
     try:
-        for first, times, features in _read_blocks(args.source, args.follow):
-            # Rows before the checkpoint still replay through the predictor
-            # so its feature history (windows, chunk buffers) is rebuilt;
-            # only the detector counter skips them.
-            times = times.tolist()
-            probs = predictor.push_block(features, times)
-            for index, (t, prob) in enumerate(zip(times, probs), first):
-                if index >= start_index and prob is not None:
-                    event = stream_step(state, prob)
-                    if event != "none":
-                        events.append(json.dumps({"event": event, "row": index, "t": t,
-                                                  "model": artifact.family, "probability": prob},
-                                                 sort_keys=True) + "\n")
-                rows_read = index + 1
-            _write_events(events_fh, events)
+        with contextlib.nullcontext(sys.stdin.buffer) if stdin else open(args.source, "rb") as fh:
+            reader = telemetry.TraceReader(fh, args.source, TraceSchema(), DEFAULT_SAMPLE_PERIOD_S)
+            for first, times, features, _ in reader.blocks(wait=args.follow and not stdin,
+                                                           drain=not stdin):
+                # Rows before the checkpoint still replay through the predictor
+                # so its feature history (windows, chunk buffers) is rebuilt;
+                # only the detector counter skips them.
+                times = times.tolist()
+                probs = predictor.push_block(features, times)
+                for index, (t, prob) in enumerate(zip(times, probs), first):
+                    if index >= start_index and prob is not None:
+                        event = stream_step(state, prob)
+                        if event != "none":
+                            events.append(json.dumps(
+                                {"event": event, "row": index, "t": t,
+                                 "model": artifact.family, "probability": prob},
+                                sort_keys=True) + "\n")
+                    rows_read = index + 1
+                _write_events(events_fh, events)
     except KeyboardInterrupt:
         pass
     finally:
@@ -571,13 +514,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", parents=[_config_parent()],
                        help="tag the corpus manifest with a stratified train/test split")
     p.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    p.add_argument("--train-benign", type=int, default=16,
+    p.add_argument("--train-benign", type=_count, default=16,
                    help="benign files in the training set (default 16)")
-    p.add_argument("--train-malicious", type=int, default=16,
+    p.add_argument("--train-malicious", type=_count, default=16,
                    help="malicious files in the training set (default 16)")
-    p.add_argument("--test-benign", type=int, default=None,
+    p.add_argument("--test-benign", type=_count, default=None,
                    help="benign test files (default: all remaining)")
-    p.add_argument("--test-malicious", type=int, default=None,
+    p.add_argument("--test-malicious", type=_count, default=None,
                    help="malicious test files (default: all remaining)")
     p.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
     p.set_defaults(func=_cmd_split)
@@ -594,15 +537,16 @@ def build_parser() -> _Parser:
                    help="autoencoder bottleneck dimension (default 20)")
     p.add_argument("--seq-len", type=_positive_int, default=40,
                    help="rnn training sequence length (default 40)")
-    p.add_argument("--filters", type=int, default=64, help="conv filters (default 64)")
-    p.add_argument("--kernel", type=int, default=32, help="conv kernel size (default 32)")
-    p.add_argument("--dense-units", type=int, default=64,
+    p.add_argument("--filters", type=_positive_int, default=64, help="conv filters (default 64)")
+    p.add_argument("--kernel", type=_positive_int, default=32,
+                   help="conv kernel size (default 32)")
+    p.add_argument("--dense-units", type=_positive_int, default=64,
                    help="conv head dense width (default 64)")
-    p.add_argument("--dropout", type=float, default=0.3,
+    p.add_argument("--dropout", type=_fraction, default=0.3,
                    help="conv head dropout rate (default 0.3)")
-    p.add_argument("--raw-window", type=int, default=128,
+    p.add_argument("--raw-window", type=_positive_int, default=128,
                    help="conv raw/smoothed branch window rows (default 128)")
-    p.add_argument("--down-window", type=int, default=64,
+    p.add_argument("--down-window", type=_positive_int, default=64,
                    help="conv downsampled branch window rows (default 64)")
     p.add_argument("--encoder", type=Path, default=None,
                    help="autoencoder artifact to use as a front-end")
@@ -625,7 +569,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--model", type=Path, default=None,
                    help="trained row model (threshold sweep)")
-    p.add_argument("--thresholds", type=_int_list, default=list(range(1, 101)),
+    p.add_argument("--thresholds", type=_positive_int_list, default=list(range(1, 101)),
                    help="threshold list '1:100' or comma-separated (default 1:100)")
     p.add_argument("--dims", type=_int_list, default=[5, 10, 15, 20, 30, 40, 50],
                    help="encoding dimensions (default 5,10,15,20,30,40,50)")

@@ -236,6 +236,28 @@ def _file_result(trace: Trace, verdict: DetectionVerdict, cfg: DetectorConfig) -
     )
 
 
+def _scoring(artifact: ModelArtifact):
+    """The family's scoring units and verdict rule: (unit granularity,
+    score(trace) -> (unit probabilities, unit truths), or None for a trace
+    it cannot score, file verdict rule)."""
+    if artifact.family in ROW_FAMILIES:
+        return ("row", lambda trace: (predict_rows(artifact, trace), trace.labels == 1),
+                classify_file)
+    if artifact.family in RNN_FAMILIES:
+        L = artifact.sequence_length
+        if L is None:
+            raise BadShapeError("sequence model has no configured length (untrained?)")
+
+        def chunks(trace: Trace):
+            if trace.num_rows < L:
+                return None
+            batch = chunk_sequences([trace], L)
+            return predict_sequences(artifact, batch), batch.labels == 1
+
+        return "sequence", chunks, aggregate_sequence_verdict
+    raise BadShapeError(f"{artifact.family} cannot be evaluated against traces")
+
+
 def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
                    cfg: DetectorConfig, label: str | None = None) -> EvalSection:
     """Row and file confusion plus per-file verdicts and detection times.
@@ -244,61 +266,35 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
     sequence/file level only, skipping files shorter than their sequence
     length (those files simply are not evaluated).
     """
-    label = label or artifact.family
+    units, score, verdict_of = _scoring(artifact)
     traces = sorted(traces, key=lambda t: (t.meta.subject_name, t.meta.category))
-    if artifact.family in ROW_FAMILIES:
-        row_conf = ConfusionCounts("row")
-        file_conf = ConfusionCounts("file")
-        files: list[FileResult] = []
-        ttds: list[float] = []
-        for trace in traces:
-            probs = predict_rows(artifact, trace)
-            row_conf = row_conf.add(row_flags(probs, cfg), trace.labels == 1)
-            verdict = classify_file(probs, cfg)
-            file_conf = file_conf.add([verdict.is_malicious], [trace.meta.is_malicious])
-            result = _file_result(trace, verdict, cfg)
-            files.append(result)
-            if result.time_to_detect_s is not None:
-                ttds.append(result.time_to_detect_s)
-        return EvalSection(
-            model=label,
-            family=artifact.family,
-            granularity="row",
-            file_confusion=file_conf,
-            row_confusion=row_conf,
-            files=files,
-            files_evaluated=len(files),
-            mean_ttd_s=float(np.mean(ttds)) if ttds else None,
-        )
-
-    if artifact.family in RNN_FAMILIES:
-        L = artifact.sequence_length
-        if L is None:
-            raise BadShapeError("sequence model has no configured length (untrained?)")
-        seq_conf = ConfusionCounts("sequence")
-        file_conf = ConfusionCounts("file")
-        files = []
-        for trace in traces:
-            if trace.num_rows < L:
-                continue
-            batch = chunk_sequences([trace], L)
-            probs = predict_sequences(artifact, batch)
-            seq_conf = seq_conf.add(row_flags(probs, cfg), batch.labels == 1)
-            verdict = aggregate_sequence_verdict(probs, cfg)
-            file_conf = file_conf.add([verdict.is_malicious], [trace.meta.is_malicious])
-            files.append(_file_result(trace, verdict, cfg))
-        if file_conf.total == 0:
-            raise NoSequencesError(f"every file is shorter than {L} rows")
-        return EvalSection(
-            model=label,
-            family=artifact.family,
-            granularity="file",
-            file_confusion=file_conf,
-            seq_confusion=seq_conf,
-            files=files,
-            files_evaluated=len(files),
-        )
-    raise BadShapeError(f"{artifact.family} cannot be evaluated against traces")
+    unit_conf = ConfusionCounts(units)
+    file_conf = ConfusionCounts("file")
+    files: list[FileResult] = []
+    for trace in traces:
+        scored = score(trace)
+        if scored is None:
+            continue
+        probs, truths = scored
+        unit_conf = unit_conf.add(row_flags(probs, cfg), truths)
+        verdict = verdict_of(probs, cfg)
+        file_conf = file_conf.add([verdict.is_malicious], [trace.meta.is_malicious])
+        files.append(_file_result(trace, verdict, cfg))
+    rows = units == "row"
+    if not rows and not files:
+        raise NoSequencesError(f"every file is shorter than {artifact.sequence_length} rows")
+    ttds = [f.time_to_detect_s for f in files if f.time_to_detect_s is not None]
+    return EvalSection(
+        model=label or artifact.family,
+        family=artifact.family,
+        granularity="row" if rows else "file",
+        file_confusion=file_conf,
+        row_confusion=unit_conf if rows else None,
+        seq_confusion=None if rows else unit_conf,
+        files=files,
+        files_evaluated=len(files),
+        mean_ttd_s=float(np.mean(ttds)) if rows and ttds else None,
+    )
 
 
 # --- sweeps --------------------------------------------------------------------

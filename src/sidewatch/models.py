@@ -786,15 +786,9 @@ class _ConvEngine:
 
 
 def predict_rows(artifact: ModelArtifact, trace: Trace) -> np.ndarray:
-    """Per-row malicious probability, causal in the row index. The conv
-    family steps a fresh _ConvEngine by the whole trace as one block."""
-    if artifact.family not in ROW_FAMILIES:
-        raise BadShapeError(f"{artifact.family} is not a per-row model")
-    rows = _model_rows(artifact, trace.features)
-    if artifact.family == "mlp":
-        probs, _ = artifact.network.forward(rows, mode="infer")
-        return probs.reshape(-1)
-    return _ConvEngine(artifact, trace.meta.sample_period_s).step_block(rows)
+    """Per-row malicious probability, causal in the row index: a fresh
+    RowStreamPredictor stepped by the whole trace as one block."""
+    return np.array(RowStreamPredictor(artifact).push_block(trace.features, trace.times))
 
 
 def predict_sequences(artifact: ModelArtifact, batch: SequenceBatch) -> np.ndarray:
@@ -835,12 +829,13 @@ def encode_rows(encoder: ModelArtifact, rows: np.ndarray) -> np.ndarray:
 
 
 class RowStreamPredictor:
-    """Incremental per-row probabilities for a live row stream.
+    """Incremental per-row probabilities for a live row stream; the one
+    row scorer, which predict_rows steps by a whole trace as one block.
 
-    push_block steps the _ConvEngine that predict_rows steps by a whole
-    trace by the next block of rows, and push by one row, so the stream
-    gives predict_rows's probabilities on every row (a property test pins
-    this), however it is cut into blocks, from bounded state. The branch
+    push_block scores the next block of rows (mlp: one Dense stack forward;
+    conv: one _ConvEngine step), and push one row, so the stream gives
+    predict_rows's probabilities on every row (a property test pins this),
+    however it is cut into blocks, from bounded state. The branch
     geometry follows the stream's own sample period: the gap between its
     first two timestamps, in whichever blocks they come; the rule
     telemetry.parse_trace_csv applies to a batch trace. Rows without

@@ -2,7 +2,8 @@
 
 Everything runs in float64 on numpy arrays. Layers expose
 ``forward(x, mode, rng) -> (y, cache)`` and
-``backward(cache, gy) -> (gx, param_grads)``; networks flatten their
+``backward(cache, gy, need_input_grad=True) -> (gx, param_grads)``, gx
+None when the input gradient is not needed; networks flatten their
 parameters into an ordered name -> array mapping that the optimizers
 update in place. Determinism contract: a fixed seed yields bit-identical
 initialization, dropout masks, and training trajectories.

@@ -91,22 +91,16 @@ class Layer:
             raise StaleCacheError(f"cache does not belong to this {type(self).__name__}")
 
 
-class Dense(Layer):
-    def __init__(
-        self,
-        in_dim: int,
-        units: int,
-        activation: str = "linear",
-        regularizer: Regularizer | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        rng = rng or np.random.default_rng()
-        self.in_dim = in_dim
-        self.units = units
+class _Kernel(Layer):
+    """A layer with a kernel W and a bias b, activation and Regularizer
+    (Dense and Conv1D): the initialization, the penalties and their gradients."""
+
+    def __init__(self, shape: tuple[int, ...], fan_in: int, fan_out: int, activation: str,
+                 regularizer: Regularizer | None, rng: np.random.Generator | None):
         self.activation = activation
         self.reg = regularizer or Regularizer()
-        self.W = glorot_uniform(rng, (in_dim, units), in_dim, units)
-        self.b = np.zeros(units, dtype=np.float64)
+        self.W = glorot_uniform(rng or np.random.default_rng(), shape, fan_in, fan_out)
+        self.b = np.zeros(shape[-1], dtype=np.float64)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
@@ -123,6 +117,37 @@ class Dense(Layer):
         if not self.reg.activity_l2:
             return 0.0
         return self.reg.activity_l2 * (cache["y"] ** 2).sum()
+
+    def _dz(self, cache: dict, gy) -> np.ndarray:
+        """The pre-activation gradient, the activity penalty's included."""
+        gyb = np.asarray(gy, dtype=np.float64)
+        if cache["squeezed"]:
+            gyb = gyb[None, ...]
+        if self.reg.activity_l2:
+            gyb = gyb + 2.0 * self.reg.activity_l2 * cache["y"]
+        return gyb * activate_grad(self.activation, cache["y"])
+
+    def _penalized(self, dW: np.ndarray) -> np.ndarray:
+        """The kernel gradient dW with the kernel penalties' added (in place)."""
+        if self.reg.l1:
+            dW += self.reg.l1 * np.sign(self.W)
+        if self.reg.l2:
+            dW += 2.0 * self.reg.l2 * self.W
+        return dW
+
+
+class Dense(_Kernel):
+    def __init__(
+        self,
+        in_dim: int,
+        units: int,
+        activation: str = "linear",
+        regularizer: Regularizer | None = None,
+        rng: np.random.Generator | None = None,
+    ):
+        super().__init__((in_dim, units), in_dim, units, activation, regularizer, rng)
+        self.in_dim = in_dim
+        self.units = units
 
     def forward(self, x, mode: str = "infer", rng: np.random.Generator | None = None):
         xb, squeezed = _promote(x, 1, "Dense input")
@@ -134,26 +159,17 @@ class Dense(Layer):
         cache = {"layer": self, "x": xb, "y": y, "squeezed": squeezed}
         return (y[0] if squeezed else y), cache
 
-    def backward(self, cache: dict, gy):
+    def backward(self, cache: dict, gy, need_input_grad: bool = True):
         self._check_cache(cache)
-        xb, y = cache["x"], cache["y"]
-        gyb = np.asarray(gy, dtype=np.float64)
-        if cache["squeezed"]:
-            gyb = gyb[None, ...]
-        if self.reg.activity_l2:
-            gyb = gyb + 2.0 * self.reg.activity_l2 * y
-        dz = gyb * activate_grad(self.activation, y)
-        dW = xb.T @ dz
-        if self.reg.l1:
-            dW += self.reg.l1 * np.sign(self.W)
-        if self.reg.l2:
-            dW += 2.0 * self.reg.l2 * self.W
-        db = dz.sum(axis=0)
+        dz = self._dz(cache, gy)
+        grads = {"W": self._penalized(cache["x"].T @ dz), "b": dz.sum(axis=0)}
+        if not need_input_grad:
+            return None, grads
         gx = dz @ self.W.T
-        return (gx[0] if cache["squeezed"] else gx), {"W": dW, "b": db}
+        return (gx[0] if cache["squeezed"] else gx), grads
 
 
-class Conv1D(Layer):
+class Conv1D(_Kernel):
     """Valid cross-correlation along time, then activation."""
 
     def __init__(
@@ -165,32 +181,11 @@ class Conv1D(Layer):
         regularizer: Regularizer | None = None,
         rng: np.random.Generator | None = None,
     ):
-        rng = rng or np.random.default_rng()
+        super().__init__((kernel_size, in_channels, filters), kernel_size * in_channels,
+                         kernel_size * filters, activation, regularizer, rng)
         self.in_channels = in_channels
         self.filters = filters
         self.kernel_size = kernel_size
-        self.activation = activation
-        self.reg = regularizer or Regularizer()
-        fan_in = kernel_size * in_channels
-        fan_out = kernel_size * filters
-        self.W = glorot_uniform(rng, (kernel_size, in_channels, filters), fan_in, fan_out)
-        self.b = np.zeros(filters, dtype=np.float64)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "b": self.b}
-
-    def penalty(self) -> float:
-        p = 0.0
-        if self.reg.l1:
-            p += self.reg.l1 * np.abs(self.W).sum()
-        if self.reg.l2:
-            p += self.reg.l2 * (self.W ** 2).sum()
-        return p
-
-    def activity_penalty(self, cache: dict) -> float:
-        if not self.reg.activity_l2:
-            return 0.0
-        return self.reg.activity_l2 * (cache["y"] ** 2).sum()
 
     def _cols(self, xb: np.ndarray) -> np.ndarray:
         # [B, T, C] -> [B, P, k*C] with kernel-major flattening to match W.
@@ -224,30 +219,21 @@ class Conv1D(Layer):
 
     def backward(self, cache: dict, gy, need_input_grad: bool = True):
         self._check_cache(cache)
-        cols, y, T = cache["cols"], cache["y"], cache["T"]
-        gyb = np.asarray(gy, dtype=np.float64)
-        if cache["squeezed"]:
-            gyb = gyb[None, ...]
-        if self.reg.activity_l2:
-            gyb = gyb + 2.0 * self.reg.activity_l2 * y
-        dz = gyb * activate_grad(self.activation, y)  # [B, P, filters]
+        cols, T = cache["cols"], cache["T"]
+        dz = self._dz(cache, gy)  # [B, P, filters]
         B, P, _ = dz.shape
         k, C = self.kernel_size, self.in_channels
         Wm = self.W.reshape(k * C, self.filters)
         dWm = cols.reshape(B * P, k * C).T @ dz.reshape(B * P, self.filters)
-        dW = dWm.reshape(k, C, self.filters)
-        if self.reg.l1:
-            dW += self.reg.l1 * np.sign(self.W)
-        if self.reg.l2:
-            dW += 2.0 * self.reg.l2 * self.W
-        db = dz.sum(axis=(0, 1))
+        grads = {"W": self._penalized(dWm.reshape(k, C, self.filters)),
+                 "b": dz.sum(axis=(0, 1))}
         if not need_input_grad:
-            return None, {"W": dW, "b": db}
+            return None, grads
         dcols = (dz @ Wm.T).reshape(B, P, k, C)
         gx = np.zeros((B, T, C), dtype=np.float64)
         for j in range(k):
             gx[:, j : j + P, :] += dcols[:, :, j, :]
-        return (gx[0] if cache["squeezed"] else gx), {"W": dW, "b": db}
+        return (gx[0] if cache["squeezed"] else gx), grads
 
 
 class GlobalMaxPool1D(Layer):
@@ -260,8 +246,10 @@ class GlobalMaxPool1D(Layer):
         cache = {"layer": self, "idx": idx, "shape": xb.shape, "squeezed": squeezed}
         return (y[0] if squeezed else y), cache
 
-    def backward(self, cache: dict, gy):
+    def backward(self, cache: dict, gy, need_input_grad: bool = True):
         self._check_cache(cache)
+        if not need_input_grad:
+            return None, {}
         gyb = np.asarray(gy, dtype=np.float64)
         if cache["squeezed"]:
             gyb = gyb[None, ...]
@@ -289,8 +277,10 @@ class Dropout(Layer):
             return y, {"layer": self, "mask": mask}
         return x, {"layer": self, "mask": None}
 
-    def backward(self, cache: dict, gy):
+    def backward(self, cache: dict, gy, need_input_grad: bool = True):
         self._check_cache(cache)
+        if not need_input_grad:
+            return None, {}
         gy = np.asarray(gy, dtype=np.float64)
         if cache["mask"] is None:
             return gy, {}

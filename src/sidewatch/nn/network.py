@@ -38,17 +38,12 @@ class Sequential:
         return x, caches
 
     def backward(self, caches: list, gy, need_input_grad: bool = True):
-        from .layers import Conv1D
-
+        """(input gradient, or None without *need_input_grad*; parameter
+        gradients). Only the first layer may skip its input gradient: it is
+        dead work at the network boundary."""
         grads: dict[str, np.ndarray] = {}
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            if i == 0 and not need_input_grad and isinstance(layer, Conv1D):
-                # The input gradient is dead work at the network boundary;
-                # skipping it avoids the col2im scatter entirely.
-                gy, layer_grads = layer.backward(caches[i], gy, need_input_grad=False)
-            else:
-                gy, layer_grads = layer.backward(caches[i], gy)
+            gy, layer_grads = self.layers[i].backward(caches[i], gy, need_input_grad or i > 0)
             for name, g in layer_grads.items():
                 grads[f"{i}.{name}"] = g
         return gy, grads
@@ -97,7 +92,7 @@ class MultiBranch:
         y, head_caches = self.head.forward(joined, mode=mode, rng=rng)
         return y, (branch_caches, head_caches, widths)
 
-    def backward(self, caches, gy):
+    def backward(self, caches, gy, need_input_grad: bool = True):
         branch_caches, head_caches, widths = caches
         gjoined, grads_head = self.head.backward(head_caches, gy)
         grads: dict[str, np.ndarray] = {f"head.{k}": v for k, v in grads_head.items()}
@@ -106,11 +101,11 @@ class MultiBranch:
         for i, (branch, b_caches) in enumerate(zip(self.branches, branch_caches)):
             gslice = gjoined[..., offset : offset + widths[i]]
             offset += widths[i]
-            gx, branch_grads = branch.backward(b_caches, gslice, need_input_grad=False)
+            gx, branch_grads = branch.backward(b_caches, gslice, need_input_grad)
             gxs.append(gx)
             for name, g in branch_grads.items():
                 grads[f"branch{i}.{name}"] = g
-        return gxs, grads
+        return (gxs if need_input_grad else None), grads
 
 
 def data_loss_and_grad(y, target, loss_kind: str):
@@ -135,5 +130,5 @@ def evaluate_loss(net, inputs, target, loss_kind: str, mode: str = "train", rng=
     total = loss + net.penalty() + net.activity_penalty(caches)
     if not with_grads:
         return total, None
-    _, grads = net.backward(caches, gy)
+    _, grads = net.backward(caches, gy, need_input_grad=False)
     return total, grads

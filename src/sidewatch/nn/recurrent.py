@@ -68,7 +68,7 @@ class _Recurrent(Layer):
         cache = {"layer": self, "x": X, "seq": seq, "squeezed": squeezed}
         return (y[0] if squeezed else y), cache
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, need_input_grad: bool = True):
         self._check_cache(cache)
         X, seq, squeezed = cache["x"], cache["seq"], cache["squeezed"]
         B, T, H = seq[0].shape[0], seq[0].shape[1] - 1, self.units
@@ -83,6 +83,8 @@ class _Recurrent(Layer):
         da = da.reshape(B * T, -1)
         h_prev = seq[0][:, :T, :H].reshape(B * T, H)
         grads = {"Wx": X.T @ da, "Wh": self._dWh(h_prev, seq, da), "b": da.sum(axis=0)}
+        if not need_input_grad:
+            return None, grads
         gx = (da @ self.Wx.T).reshape(B, T, -1)
         return (gx[0] if squeezed else gx), grads
 
@@ -210,7 +212,7 @@ class Bidirectional(Layer):
         cache = {"layer": self, "cf": cf, "cb": cb, "squeezed": squeezed}
         return (y[0] if squeezed else y), cache
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, need_input_grad: bool = True):
         self._check_cache(cache)
         gyb = np.asarray(gy, dtype=np.float64)
         if cache["squeezed"]:
@@ -220,9 +222,11 @@ class Bidirectional(Layer):
         gb = gyb[..., H:]
         if self.return_sequences:
             gb = np.ascontiguousarray(gb[:, ::-1])
-        gxf, grads_f = self.fwd.backward(cache["cf"], gf)
-        gxb_rev, grads_b = self.bwd.backward(cache["cb"], gb)
-        gx = gxf + gxb_rev[:, ::-1]
+        gxf, grads_f = self.fwd.backward(cache["cf"], gf, need_input_grad)
+        gxb_rev, grads_b = self.bwd.backward(cache["cb"], gb, need_input_grad)
         grads = {f"fwd_{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd_{k}": v for k, v in grads_b.items()})
+        if not need_input_grad:
+            return None, grads
+        gx = gxf + gxb_rev[:, ::-1]
         return (gx[0] if cache["squeezed"] else gx), grads

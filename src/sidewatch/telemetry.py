@@ -13,11 +13,16 @@ start at which the malware began executing), benign ones must not.
 
 Trace files are UTF-8 CSV with a header row: an optional ``time_s``
 column, one column per sensor feature, and an optional trailing ``label``
-column holding 0/1. Feature and label cells that do not parse as numbers
-are imputed from the previous row (0 for the first row) so the row count —
-which the consecutive-sample detector depends on — is never silently
-changed. A ragged or non-UTF-8 row, or a time that is not a finite number
-later than the row above, is an error (_decode_rows, for files and streams).
+column holding 0/1. One reader (TraceReader) reads files and live streams
+alike, by one line rule: a record is one line, split into cells by ``csv``
+within that line (a quoted cell cannot span lines); a line that is empty
+or holds only whitespace is skipped wherever it stands, before the header
+too; the first record is the header. Feature and label cells that do not
+parse as numbers are imputed from the previous row (0 for the first row)
+so the row count — which the consecutive-sample detector depends on — is
+never silently changed. A ragged or non-UTF-8 row, or a time that is not a
+finite number later than the row above, is an error (_decode_rows, for
+files and streams).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import csv
 import json
 import math
 import re
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -343,7 +349,7 @@ def parse_trace_csv(
     schema: TraceSchema | None = None,
     meta: TraceMeta | None = None,
 ) -> Trace:
-    """Parse a labeled telemetry CSV into a Trace.
+    """Parse a labeled telemetry CSV into a Trace: TraceReader run to its end.
 
     When *meta* is omitted it is recovered from the filename; filenames
     outside the convention fall back to a generic benign placeholder so
@@ -354,54 +360,42 @@ def parse_trace_csv(
     later than the row above) raises its error.
     """
     path = Path(path)
-    schema = schema or TraceSchema()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyTraceError(f"{path}: file has no header") from None
-        header = [h.strip() for h in header]
-        raw_rows = [row for row in reader if row]
-
     if meta is None:
         try:
             meta = parse_trace_filename(path.name)
         except (MalformedNameError, UnknownCategoryError, BadOnsetError):
             meta = TraceMeta(path.stem or "trace", "unknown", "unknown", "benign")
 
-    cols = _columns(header, schema, str(path))
-    if not raw_rows:
+    with open(path, "rb") as fh:
+        reader = TraceReader(fh, str(path), schema or TraceSchema(), meta.sample_period_s)
+        blocks = [block[1:] for block in reader.blocks()]
+    if reader.parser is None:
+        raise EmptyTraceError(f"{path}: file has no header")
+    if not blocks:
         raise EmptyTraceError(f"{path}: header only, no data rows")
 
-    T = len(raw_rows)
-    times, features, labels, error = _decode_rows(
-        cols, raw_rows, str(path), 0, -math.inf, np.zeros(len(cols.feature_idx)), 0)
-    if error is not None:
-        raise error
-
-    if times is None:
-        times = np.arange(T, dtype=np.float64) * meta.sample_period_s
-    elif T >= 2:
+    times, features, labels = (np.concatenate(arrays) for arrays in zip(*blocks))
+    if reader.parser.cols.time_idx is not None and len(times) >= 2:
         meta = replace(meta, sample_period_s=float(times[1] - times[0]))
-
-    return Trace(meta=meta, header=cols.feature_names, times=times, features=features,
-                 labels=labels)
+    return Trace(meta=meta, header=reader.parser.cols.feature_names, times=times,
+                 features=features, labels=labels)
 
 
 class RowParser:
     """Parse a trace CSV's data rows as they arrive, by parse_trace_csv's rules.
 
-    For live streams: each call decodes its rows by _decode_rows, with the
-    last row of the calls before standing above its first, so rows decode
-    the same however a stream is cut into calls. Decode lines with
+    Each call decodes its rows by _decode_rows, with the last row of the
+    calls before standing above its first, so rows decode the same however
+    a file or stream is cut into calls. Decode lines with
     ``errors="surrogateescape"``, so that one that is not UTF-8 is a bad
-    row. Without a time column row i is at ``i * DEFAULT_SAMPLE_PERIOD_S``.
+    row. Without a time column row i is at ``i * period``.
     """
 
-    def __init__(self, header: list[str], where: str = "stream"):
-        self.cols = _columns([h.strip() for h in header], TraceSchema(), where)
+    def __init__(self, header: list[str], where: str = "stream",
+                 schema: TraceSchema | None = None, period: float = DEFAULT_SAMPLE_PERIOD_S):
+        self.cols = _columns([h.strip() for h in header], schema or TraceSchema(), where)
         self.where = where
+        self.period = period
         self.rows = 0
         self._prev_t = -math.inf
         self._prev_features = np.zeros(len(self.cols.feature_idx))
@@ -416,7 +410,7 @@ class RowParser:
             self._prev_label)
         n = len(features)
         if times is None:
-            times = np.arange(self.rows, self.rows + n) * DEFAULT_SAMPLE_PERIOD_S
+            times = np.arange(self.rows, self.rows + n) * self.period
         if n:
             self.rows += n
             self._prev_t = float(times[-1])
@@ -430,6 +424,82 @@ class RowParser:
         if error is not None:
             raise error
         return SampleRow(t=float(times[0]), features=features[0], label=int(labels[0]))
+
+
+# The most rows TraceReader gives as one block: it bounds the memory and
+# the work of a block under sidewatch detect --follow.
+BLOCK_ROWS = 1024
+_READ_BYTES = 1 << 16
+
+
+def _line_blocks(fh, wait: bool, drain: bool, poll_s: float):
+    """Yield lists of at most BLOCK_ROWS complete lines (bytes): each what
+    the source holds now. A file is read to its current end (*drain*), a
+    pipe once per block. With *wait*, a line is given only once its line
+    end has arrived; otherwise a last line without one is given as it stands.
+    """
+    lines, partial, ended = [], b"", False
+    while lines or not ended:
+        if len(lines) < BLOCK_ROWS and not ended:
+            data = fh.read1(_READ_BYTES)
+            if data:
+                got = (partial + data).splitlines(keepends=True)
+                partial = b"" if got[-1].endswith((b"\n", b"\r")) else got.pop()
+                lines += got
+                if drain:
+                    continue
+            elif not wait:
+                lines += [partial] if partial else []
+                ended = True
+            elif not lines:
+                time.sleep(poll_s)  # the writer has not finished a line yet
+                continue
+        if lines:
+            yield lines[:BLOCK_ROWS]
+            del lines[:BLOCK_ROWS]
+
+
+class TraceReader:
+    """The one reader of trace CSV files and streams, over a binary file
+    object *fh*, by the line rule of the module docstring: parse_trace_csv
+    runs it to the end of a file, ``sidewatch detect`` over a live file or
+    stdin. *parser*, the header's RowParser (with *schema*, and *period* for
+    a file without a time column), is None until the header is read.
+    """
+
+    def __init__(self, fh, where: str, schema: TraceSchema, period: float):
+        self.fh = fh
+        self.where = where
+        self.schema = schema
+        self.period = period
+        self.parser: RowParser | None = None
+
+    def blocks(self, wait: bool = False, drain: bool = True, poll_s: float = 0.2):
+        """Yield (index, times, features, labels) blocks of at most
+        BLOCK_ROWS rows: index is the block's first row, times [n],
+        features [n, F] and labels [n] its rows' (_line_blocks for *wait*,
+        *drain* and what a block holds). A bad row ends the source: the
+        rows before it are yielded, then its error raised.
+        """
+        for lines in _line_blocks(self.fh, wait, drain, poll_s):
+            rows = []
+            for line in lines:
+                text = line.decode("utf-8", "surrogateescape")
+                if not text.strip():
+                    continue
+                cells = next(csv.reader([text]))
+                if self.parser is None:
+                    self.parser = RowParser(cells, self.where, self.schema, self.period)
+                else:
+                    rows.append(cells)
+            if not rows:
+                continue
+            first = self.parser.rows
+            times, features, labels, error = self.parser.parse_rows(rows)
+            if len(times):
+                yield first, times, features, labels
+            if error is not None:
+                raise error
 
 
 def write_trace_csv(trace: Trace, path: str | Path, schema: TraceSchema | None = None) -> None:

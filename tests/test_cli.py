@@ -12,6 +12,12 @@ from sidewatch.models import TrainConfig, build_mlp, predict_rows, train_model
 DATA = Path(__file__).parent / "data"
 
 
+def _reader(source) -> telemetry.TraceReader:
+    """The reader `sidewatch detect` runs over the open binary *source*."""
+    return telemetry.TraceReader(source, source.name, telemetry.TraceSchema(),
+                                 telemetry.DEFAULT_SAMPLE_PERIOD_S)
+
+
 @pytest.fixture(scope="module")
 def cli_corpus(tmp_path_factory):
     """Generated + split corpus and a trained mlp artifact, via the CLI."""
@@ -146,13 +152,47 @@ class TestTrainEval:
         np.testing.assert_array_equal(p1, p2)
 
     @pytest.mark.parametrize("flag", ["--epochs", "--batch-size", "--rows-per-trace",
-                                      "--seq-len"])
+                                      "--seq-len", "--filters", "--kernel", "--dense-units",
+                                      "--raw-window", "--down-window"])
     def test_zero_count_is_usage_error(self, cli_corpus, flag, capsys):
         root, corpus, _ = cli_corpus
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--corpus", str(corpus), "--family", "mlp", flag, "0"])
         assert exc.value.code == EXIT_USAGE
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval", "--threshold", "0"),
+        ("eval", "--cutoff", "1.5"),
+        ("detect", "--cutoff", "0"),
+        ("sweep", "--thresholds", "0"),
+        ("train", "--dropout", "1.0"),
+        ("train", "--lr", "-1"),
+        ("train", "--val-fraction", "1.0"),
+        ("train", "--patience", "-1"),
+        ("split", "--train-benign", "-1"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, command, flag, value,
+                                               route):
+        # Neither corpus nor model exists: the value must be refused first.
+        absent = str(tmp_path / "absent")
+        argv = {"eval": ["eval", "--corpus", absent, "--model", absent],
+                "detect": ["detect", "--model", absent],
+                "sweep": ["sweep", "threshold", "--corpus", absent, "--model", absent],
+                "train": ["train", "--corpus", absent, "--family", "mlp"],
+                "split": ["split", "--corpus", absent]}[command]
+        if route == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({flag[2:].replace("-", "_"): json.loads(value)}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be" in err and "Traceback" not in err
 
     def test_wrong_family_is_usage_error(self, cli_corpus):
         root, corpus, _ = cli_corpus
@@ -538,21 +578,23 @@ class TestDetect:
                 with open(path, "a") as fh:
                     fh.write(",4\n")
 
-        monkeypatch.setattr(cli.time, "sleep", writer_catches_up)
-        blocks = cli._read_blocks(str(path), follow=True, poll_s=0.01)
-        index, times, features = next(blocks)
-        assert index == 0 and features.tolist() == [[1.0, 2.0]]
-        with open(path, "a") as fh:
-            fh.write(",3")  # still unfinished
-        index, times, features = next(blocks)
+        monkeypatch.setattr(telemetry.time, "sleep", writer_catches_up)
+        with open(path, "rb") as source:
+            blocks = _reader(source).blocks(wait=True, poll_s=0.01)
+            index, times, features, _ = next(blocks)
+            assert index == 0 and features.tolist() == [[1.0, 2.0]]
+            with open(path, "a") as fh:
+                fh.write(",3")  # still unfinished
+            index, times, features, _ = next(blocks)
         assert index == 1 and times.tolist() == [0.5] and features.tolist() == [[3.0, 4.0]]
         assert waits == [0.01, 0.01]
 
     def test_last_line_without_newline_is_parsed_without_follow(self, tmp_path):
         path = tmp_path / "done.csv"
         path.write_text("time_s,a,b\n0.0,1,2\n0.5,3,4")
-        rows = [row for _, _, features in cli._read_blocks(str(path), follow=False)
-                for row in features.tolist()]
+        with open(path, "rb") as source:
+            rows = [row for _, _, features, _ in _reader(source).blocks()
+                    for row in features.tolist()]
         assert rows == [[1.0, 2.0], [3.0, 4.0]]
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sidewatch import cli, models, telemetry
 from sidewatch.cli import EXIT_ALERT, EXIT_DATA, EXIT_OK
 from sidewatch.detector import DetectorConfig, StreamState, stream_step
-from sidewatch.errors import SidewatchError
+from sidewatch.errors import RaggedRowError, SidewatchError
 from sidewatch.models import WindowConfig
 
 F = 3
@@ -146,8 +146,11 @@ def detect_cases(draw):
         else:
             lines[at][0] = repr(max(at - draw(st.integers(1, 2)), 0) * period)
     text = [HEADER] + [",".join(cells) for cells in lines]
-    if draw(st.booleans()):
-        text.insert(draw(st.integers(1, len(text))), "")
+    # Lines that are empty or only whitespace are no records, before the
+    # header too.
+    for _ in range(draw(st.integers(0, 2))):
+        blank = draw(st.sampled_from(["", " ", "\t", " \t  "]))
+        text.insert(draw(st.integers(0, len(text))), blank)
     end = draw(st.sampled_from(["\n", "\r\n"]))
     body = end.join(text) + (end if draw(st.booleans()) else "")
     resume = None
@@ -189,8 +192,8 @@ def test_blocks_match_the_per_row_reference(artifacts, case):
                 "--cutoff", repr(case["cutoff"]), "--threshold", str(case["threshold"])]
         if not case["latch"]:
             argv.append("--no-latch")
-        with mock.patch.object(cli, "BLOCK_ROWS", case["cap"]), \
-                mock.patch.object(cli, "_READ_BYTES", case["read_bytes"]):
+        with mock.patch.object(telemetry, "BLOCK_ROWS", case["cap"]), \
+                mock.patch.object(telemetry, "_READ_BYTES", case["read_bytes"]):
             code, stderr = run_detect(argv)
         assert (code, stderr) == want[:2]
         assert json.loads(ckpt.read_text()) == want[2]
@@ -204,12 +207,76 @@ def test_stdin_is_read_in_blocks(artifacts, tmp_path, monkeypatch):
     source.write_bytes(body)
     want = reference_detect(artifacts["conv"], source, DetectorConfig(consec_threshold=2))
     monkeypatch.setattr(cli.sys, "stdin", io.TextIOWrapper(io.BytesIO(body)))
-    monkeypatch.setattr(cli, "_READ_BYTES", 100)  # a pipe's read gives a few lines
+    monkeypatch.setattr(telemetry, "_READ_BYTES", 100)  # a pipe's read gives a few lines
     events = tmp_path / "events.jsonl"
     code, stderr = run_detect(["detect", "--model", str(artifacts["conv"]), "--source", "-",
                                "--threshold", "2", "--events", str(events)])
     assert (code, stderr) == want[:2]
     assert_same_events(read_events(events), want[3])
+
+
+# --- one reader for batch and live ------------------------------------------------
+
+
+_ROWS = [f"{0.5 * i!r},{i % 3},{i % 5}.5,{i % 7},{int(i > 3)}" for i in range(8)]
+
+
+# Files the batch parser and `detect` once read differently: a line that is
+# empty or only whitespace is no record anywhere, and a record is one line,
+# so a quoted cell that spans two lines leaves its first line ragged.
+@pytest.mark.parametrize("body, error", [
+    ("\n".join(["", HEADER, *_ROWS, ""]), None),
+    ("\n".join([HEADER, *_ROWS[:3], " \t ", *_ROWS[3:], ""]), None),
+    ("\n".join([HEADER, *_ROWS[:2], '1.0,"4', '",5,6,0', *_ROWS[3:], ""]),
+     RaggedRowError),
+], ids=["blank line before the header", "whitespace line between rows",
+        "quoted cell over two lines"])
+@pytest.mark.parametrize("family", ["mlp", "conv"])
+def test_batch_validate_and_detect_agree(artifacts, tmp_path, monkeypatch, capsys, family,
+                                         body, error):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    source = corpus / "probe_Win7SP1_hw1_worm_2.csv"
+    source.write_text(body, encoding="utf-8", newline="")
+    try:
+        trace, batch_error = telemetry.parse_trace_csv(source), None
+    except SidewatchError as exc:
+        trace, batch_error = None, exc
+    assert type(batch_error) is (error or type(None))
+
+    assert cli.main(["validate", "--corpus", str(corpus)]) == (EXIT_DATA if error else EXIT_OK)
+    out = capsys.readouterr().out
+    if error:
+        assert f"{source.name}: skipped ({error.__name__}: {batch_error})" in out
+    else:
+        assert "validated 1 traces, 0 violations, 0 skipped files" in out
+
+    pushed = []
+    push_block = models.RowStreamPredictor.push_block
+
+    def recorded(predictor, features, times=None):
+        probs = push_block(predictor, features, times)
+        pushed.append((features, times, probs))
+        return probs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(models.RowStreamPredictor, "push_block", recorded)
+        code, stderr = run_detect(["detect", "--model", str(artifacts[family]),
+                                   "--source", str(source)])
+    if error:
+        assert (code, stderr) == (EXIT_DATA, f"sidewatch: error: {batch_error}\n")
+        # The rows before the bad one are scored, as the batch trace cut there is.
+        source.write_text("\n".join([HEADER, *_ROWS[:2], ""]), encoding="utf-8")
+        trace = telemetry.parse_trace_csv(source)
+    else:
+        assert code in (EXIT_OK, EXIT_ALERT) and stderr == ""
+    features = np.concatenate([f for f, _, _ in pushed])
+    times = [t for _, block, _ in pushed for t in block]
+    probs = np.array([p for _, _, block in pushed for p in block])
+    assert features.tobytes() == trace.features.tobytes()
+    assert times == trace.times.tolist()
+    np.testing.assert_allclose(probs, models.predict_rows(models.load_model(artifacts[family]),
+                                                          trace), rtol=0, atol=1e-12)
 
 
 # --- the checkpoint after an interrupt ---------------------------------------------
@@ -229,7 +296,7 @@ def test_interrupt_mid_block_resumes_where_it_stopped(artifacts, tmp_path, monke
     assert run_detect(base + ["--events", str(full)]) == (EXIT_ALERT, "")
     assert read_events(full)[0]["event"] == "alert" and read_events(full)[0]["row"] == 24
 
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 16)
+    monkeypatch.setattr(telemetry, "BLOCK_ROWS", 16)
     events, ckpt = tmp_path / "resumed.jsonl", tmp_path / "ckpt.json"
     argv = base + ["--events", str(events), "--checkpoint", str(ckpt)]
     steps = []
@@ -260,8 +327,8 @@ def test_memory_is_flat_over_a_long_source(tmp_path, monkeypatch):
     # 64-byte lines: each read of the source holds one block's lines and
     # cells of the same sizes, so every block leaves the same memory behind.
     blocks = 98
-    rows = blocks * cli.BLOCK_ROWS - 1  # the header is the first block's first line
-    assert cli._READ_BYTES == 64 * cli.BLOCK_ROWS
+    rows = blocks * telemetry.BLOCK_ROWS - 1  # the header is the first block's first line
+    assert telemetry._READ_BYTES == 64 * telemetry.BLOCK_ROWS
     with open(tmp_path / "long.csv", "w") as fh:
         fh.write(f"{'time_s,f0,f1,f2':<63}\n")
         fh.writelines(f"{0.5 * i:049.1f},{i % 7}.5,{i % 5}.25,{i % 3}.75\n" for i in range(rows))
@@ -287,6 +354,6 @@ def test_memory_is_flat_over_a_long_source(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert (code, stderr) == (EXIT_OK, "")
-    assert sum(sizes) == rows and max(sizes) <= cli.BLOCK_ROWS
-    assert sorted(retained) == [20 * cli.BLOCK_ROWS - 1, rows]
-    assert abs(retained[rows] - retained[20 * cli.BLOCK_ROWS - 1]) <= 512
+    assert sum(sizes) == rows and max(sizes) <= telemetry.BLOCK_ROWS
+    assert sorted(retained) == [20 * telemetry.BLOCK_ROWS - 1, rows]
+    assert abs(retained[rows] - retained[20 * telemetry.BLOCK_ROWS - 1]) <= 512

@@ -6,6 +6,7 @@ from sidewatch.errors import (
     ShapeMismatchError,
     StaleCacheError,
 )
+from sidewatch.models import build_mlp, build_rnn
 from sidewatch.nn import (
     Adam,
     BCE_EPS,
@@ -504,6 +505,29 @@ class TestRecurrentLoop:
         assert list(grads) == list(ref_grads)
         for name, g in grads.items():
             _assert_rel_close(g, ref_grads[name], 1e-10, name)
+
+
+class TestInputGradientAtTheBoundary:
+    """backward(need_input_grad=False) gives no input gradient and the
+    parameter gradients of a full backward, bit for bit."""
+
+    @pytest.mark.parametrize("network, x_shape", [
+        (lambda: build_mlp(6, hidden=(5, 4), seed=3).network, (8, 6)),
+        (lambda: build_rnn(6, cell="gru", hidden=(4, 3), seed=3).network, (3, 5, 6)),
+        (lambda: build_rnn(6, cell="lstm", bidirectional=True, hidden=(4, 3),
+                           seed=3).network, (3, 5, 6)),
+    ], ids=["mlp", "gru stack", "bi-lstm stack"])
+    def test_parameter_gradients_are_unchanged(self, network, x_shape):
+        net = network()
+        rng = np.random.default_rng(23)
+        y, caches = net.forward(rng.normal(size=x_shape), mode="train", rng=rng)
+        gy = rng.normal(size=y.shape)
+        gx, full = net.backward(caches, gy)
+        none, skipped = net.backward(caches, gy, need_input_grad=False)
+        assert gx.shape == x_shape and none is None
+        assert list(skipped) == list(full)
+        for name, g in full.items():
+            assert skipped[name].tobytes() == g.tobytes(), name
 
 
 class TestDeterminismAndSymmetry:
