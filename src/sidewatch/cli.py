@@ -52,6 +52,10 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok)
+
+
 def _checked(convert, allowed, rule: str):
     """A flag type: convert(text), refused with a usage error unless
     allowed(value); *rule* names the allowed values."""
@@ -71,10 +75,8 @@ _probability = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _fraction = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _positive_int_list = _checked(_int_list, lambda vs: all(v >= 1 for v in vs),
                               "a list of positive integers")
-
-
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+_positive_int_tuple = _checked(_int_tuple, lambda vs: all(v >= 1 for v in vs),
+                               "a list of positive integers")
 
 
 def _names_from(known: tuple[str, ...]):
@@ -355,9 +357,10 @@ def _cmd_sweep(args) -> int:
 # --- detect --------------------------------------------------------------------
 
 
-# A checkpoint's fields and the JSON types each must have.
-_CHECKPOINT_FIELDS = {"rows_seen": int, "run": int, "alerted": bool,
-                      "alert_row": (int, type(None)), "source_rows_read": int}
+# A checkpoint's fields and the JSON types each must have: the detector
+# state, then the count of source rows read.
+_STATE_FIELDS = {"rows_seen": int, "run": int, "alerted": bool, "alert_row": (int, type(None))}
+_CHECKPOINT_FIELDS = {**_STATE_FIELDS, "source_rows_read": int}
 
 
 def _read_checkpoint(path) -> dict:
@@ -389,25 +392,25 @@ def _write_checkpoint(path: Path, state: dict) -> None:
 
 
 def _cmd_detect(args) -> int:
+    # Model, predictor and source come first: a run that cannot read its
+    # source opens no events file and leaves the checkpoint as it was.
     artifact = models.load_model(args.model)
-    predictor = models.stream_predictor(artifact)
+    predictor = models.RowStreamPredictor(artifact)
 
     state = StreamState(cfg=_detector_config(args))
     start_index = 0
     if args.checkpoint and Path(args.checkpoint).exists():
         saved = _read_checkpoint(args.checkpoint)
-        state.rows_seen = saved["rows_seen"]
-        state.run = saved["run"]
-        state.alerted = saved["alerted"]
-        state.alert_row = saved["alert_row"]
+        for key in _STATE_FIELDS:
+            setattr(state, key, saved[key])
         start_index = saved["source_rows_read"]
 
-    events_fh = open(args.events, "a", encoding="utf-8") if args.events else sys.stdout
     stdin = args.source == "-"
     rows_read = 0
     events = []  # the event lines of the block, written when it is done
-    try:
-        with contextlib.nullcontext(sys.stdin.buffer) if stdin else open(args.source, "rb") as fh:
+    with contextlib.nullcontext(sys.stdin.buffer) if stdin else open(args.source, "rb") as fh:
+        events_fh = open(args.events, "a", encoding="utf-8") if args.events else sys.stdout
+        try:
             reader = telemetry.TraceReader(fh, args.source, TraceSchema(), DEFAULT_SAMPLE_PERIOD_S)
             for first, times, features, _ in reader.blocks(wait=args.follow and not stdin,
                                                            drain=not stdin):
@@ -426,20 +429,16 @@ def _cmd_detect(args) -> int:
                                 sort_keys=True) + "\n")
                     rows_read = index + 1
                 _write_events(events_fh, events)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        _write_events(events_fh, events)
-        if args.checkpoint:
-            _write_checkpoint(args.checkpoint, {
-                "rows_seen": state.rows_seen,
-                "run": state.run,
-                "alerted": state.alerted,
-                "alert_row": state.alert_row,
-                "source_rows_read": max(rows_read, start_index),
-            })
-        if events_fh is not sys.stdout:
-            events_fh.close()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            _write_events(events_fh, events)
+            if args.checkpoint:
+                _write_checkpoint(args.checkpoint, {
+                    **{key: getattr(state, key) for key in _STATE_FIELDS},
+                    "source_rows_read": max(rows_read, start_index)})
+            if events_fh is not sys.stdout:
+                events_fh.close()
     return EXIT_ALERT if state.alerted or state.alert_row is not None else EXIT_OK
 
 
@@ -500,7 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="override spec seed (default 0)")
     p.add_argument("--difficulty", type=float, default=None,
                    help="override effect-magnitude scale (default 1.0)")
-    p.add_argument("--features", type=int, default=None,
+    p.add_argument("--features", type=_positive_int, default=None,
                    help="override feature count (default 132)")
     p.add_argument("--duration", type=float, default=None,
                    help="override trace duration in seconds (default 480)")
@@ -531,9 +530,9 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True, choices=models.FAMILIES,
                    help="model family to train")
     p.add_argument("--out", type=Path, default=None, help="run output directory")
-    p.add_argument("--hidden", type=_int_tuple, default=(100,),
+    p.add_argument("--hidden", type=_positive_int_tuple, default=(100,),
                    help="mlp hidden sizes, comma-separated (default 100)")
-    p.add_argument("--dim", type=int, default=20,
+    p.add_argument("--dim", type=_positive_int, default=20,
                    help="autoencoder bottleneck dimension (default 20)")
     p.add_argument("--seq-len", type=_positive_int, default=40,
                    help="rnn training sequence length (default 40)")
@@ -571,7 +570,7 @@ def build_parser() -> _Parser:
                    help="trained row model (threshold sweep)")
     p.add_argument("--thresholds", type=_positive_int_list, default=list(range(1, 101)),
                    help="threshold list '1:100' or comma-separated (default 1:100)")
-    p.add_argument("--dims", type=_int_list, default=[5, 10, 15, 20, 30, 40, 50],
+    p.add_argument("--dims", type=_positive_int_list, default=[5, 10, 15, 20, 30, 40, 50],
                    help="encoding dimensions (default 5,10,15,20,30,40,50)")
     p.add_argument("--families", type=_names_from(models.ROW_FAMILIES),
                    default=["mlp", "conv_multibranch"],

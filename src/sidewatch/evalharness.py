@@ -35,9 +35,9 @@ from .errors import (
 from .featurize import chunk_sequences
 from .models import (
     ModelArtifact,
-    RNN_FAMILIES,
     RNN_VARIANTS,
     ROW_FAMILIES,
+    RowStreamPredictor,
     TrainConfig,
     build_autoencoder,
     build_conv_multibranch,
@@ -45,6 +45,7 @@ from .models import (
     build_rnn,
     predict_rows,
     predict_sequences,
+    stream_unit,
     train_model,
     training_data,
 )
@@ -236,47 +237,46 @@ def _file_result(trace: Trace, verdict: DetectionVerdict, cfg: DetectorConfig) -
     )
 
 
-def _scoring(artifact: ModelArtifact):
-    """The family's scoring units and verdict rule: (unit granularity,
-    score(trace) -> (unit probabilities, unit truths), or None for a trace
-    it cannot score, file verdict rule)."""
-    if artifact.family in ROW_FAMILIES:
-        return ("row", lambda trace: (predict_rows(artifact, trace), trace.labels == 1),
-                classify_file)
-    if artifact.family in RNN_FAMILIES:
-        L = artifact.sequence_length
-        if L is None:
-            raise BadShapeError("sequence model has no configured length (untrained?)")
+# The file verdict rule of each scoring unit.
+_VERDICT_RULES = {"row": classify_file, "sequence": aggregate_sequence_verdict}
 
-        def chunks(trace: Trace):
-            if trace.num_rows < L:
-                return None
-            batch = chunk_sequences([trace], L)
-            return predict_sequences(artifact, batch), batch.labels == 1
 
-        return "sequence", chunks, aggregate_sequence_verdict
-    raise BadShapeError(f"{artifact.family} cannot be evaluated against traces")
+def _unit_truths(labels: np.ndarray, closes: np.ndarray) -> np.ndarray:
+    """The truth of each unit, by the rows *closes* that close them: the
+    majority label (featurize.chunk_label, ties malicious) of the rows
+    since the previous unit, from one cumulative sum."""
+    malicious = np.diff(np.cumsum(labels)[closes], prepend=0)
+    return 2 * malicious >= np.diff(closes, prepend=-1)
 
 
 def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
                    cfg: DetectorConfig, label: str | None = None) -> EvalSection:
-    """Row and file confusion plus per-file verdicts and detection times.
+    """Unit and file confusion plus per-file verdicts and detection times.
 
-    Test order is fixed (name-sorted); recurrent families evaluate at
-    sequence/file level only, skipping files shorter than their sequence
-    length (those files simply are not evaluated).
+    Each trace is scored by a fresh RowStreamPredictor stepped by the whole
+    trace as one block, the scorer `detect` runs. A unit is a row that gets
+    a probability: every row of a row family, the row closing each chunk
+    of sequence_length rows of a sequence family. Its truth is the
+    majority label of the rows it closes (_unit_truths). Test order is
+    fixed (name-sorted); a file with no unit (one shorter than the
+    sequence length) is not evaluated. Sequence families report at
+    sequence/file level only.
     """
-    units, score, verdict_of = _scoring(artifact)
+    units = stream_unit(artifact.family)
+    if units is None:
+        raise BadShapeError(f"{artifact.family} cannot be evaluated against traces")
+    verdict_of = _VERDICT_RULES[units]
     traces = sorted(traces, key=lambda t: (t.meta.subject_name, t.meta.category))
     unit_conf = ConfusionCounts(units)
     file_conf = ConfusionCounts("file")
     files: list[FileResult] = []
     for trace in traces:
-        scored = score(trace)
-        if scored is None:
+        scored = RowStreamPredictor(artifact).push_block(trace.features, trace.times)
+        closes = np.flatnonzero([p is not None for p in scored])
+        if not closes.size:
             continue
-        probs, truths = scored
-        unit_conf = unit_conf.add(row_flags(probs, cfg), truths)
+        probs = np.array([scored[i] for i in closes])
+        unit_conf = unit_conf.add(row_flags(probs, cfg), _unit_truths(trace.labels, closes))
         verdict = verdict_of(probs, cfg)
         file_conf = file_conf.add([verdict.is_malicious], [trace.meta.is_malicious])
         files.append(_file_result(trace, verdict, cfg))

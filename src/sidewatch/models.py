@@ -19,14 +19,16 @@ Everything that differs between families sits in one table (_FAMILY_TABLE,
 with RNN_VARIANTS naming the recurrent cells): the network constructor,
 the closed-form parameter count, the batch source that turns train_model
 data into minibatches, the train_model data built from a list of traces,
-and the live predictor. Every family trains through one epoch loop
-(_fit).
+and a row stream's unit and block step. Every family trains through one
+epoch loop (_fit); every family that can stream is scored by one
+RowStreamPredictor, stepped by a whole trace (predict_rows, evaluate_model)
+or by the blocks of a live stream (detect).
 
-Per-row conv prediction slides the causal lookback windows over the
-branch views through one stateful engine (_ConvEngine), stepped by a whole
-trace (predict_rows) or by one row (RowStreamPredictor.push): one
-convolution per branch and block plus sliding-window maxima, exactly
-equivalent to convolving each materialized causal window.
+The conv step slides the causal lookback windows over the branch views
+through one stateful engine (_ConvEngine): one convolution per branch and
+block plus sliding-window maxima, exactly equivalent to convolving each
+materialized causal window. The recurrent step buffers rows into chunks
+and scores every chunk a block closes in one forward.
 
 Conv training sees the same views. _conv_batches builds each trace's five
 padded branch sample arrays once (_ConvEngine.trace_views). Per minibatch,
@@ -786,14 +788,16 @@ class _ConvEngine:
 
 
 def predict_rows(artifact: ModelArtifact, trace: Trace) -> np.ndarray:
-    """Per-row malicious probability, causal in the row index: a fresh
-    RowStreamPredictor stepped by the whole trace as one block."""
+    """Per-row malicious probability of a row family, causal in the row
+    index: a fresh RowStreamPredictor stepped by the whole trace."""
+    if stream_unit(artifact.family) != "row":
+        raise BadShapeError(f"{artifact.family} does not score single rows")
     return np.array(RowStreamPredictor(artifact).push_block(trace.features, trace.times))
 
 
 def predict_sequences(artifact: ModelArtifact, batch: SequenceBatch) -> np.ndarray:
     """One malicious probability per fixed-length sequence."""
-    if artifact.family not in RNN_FAMILIES:
+    if stream_unit(artifact.family) != "sequence":
         raise BadShapeError(f"{artifact.family} is not a sequence model")
     if artifact.sequence_length is not None and batch.length != artifact.sequence_length:
         raise WrongSequenceLengthError(
@@ -801,12 +805,12 @@ def predict_sequences(artifact: ModelArtifact, batch: SequenceBatch) -> np.ndarr
         )
     if batch.num_sequences == 0:
         return np.zeros(0)
-    X = batch.sequences
-    if X.shape[2] != artifact.input_dim:
-        raise ShapeMismatchError(f"model expects {artifact.input_dim} features, got {X.shape[2]}")
-    if artifact.norm is not None:
-        X = zscore_apply(artifact.norm, X)
-    probs, _ = artifact.network.forward(X, mode="infer")
+    return _forward(artifact, _model_rows(artifact, batch.sequences))
+
+
+def _forward(artifact: ModelArtifact, x: np.ndarray) -> np.ndarray:
+    """The network's probabilities of model rows [n, F] or chunks [n, L, F]."""
+    probs, _ = artifact.network.forward(x, mode="infer")
     return probs.reshape(-1)
 
 
@@ -825,98 +829,92 @@ def encode_rows(encoder: ModelArtifact, rows: np.ndarray) -> np.ndarray:
     return codes
 
 
-# --- streaming predictors ---------------------------------------------------------
+# --- the stream predictor ---------------------------------------------------------
 
 
 class RowStreamPredictor:
-    """Incremental per-row probabilities for a live row stream; the one
-    row scorer, which predict_rows steps by a whole trace as one block.
+    """Incremental probabilities for a row stream: the one scorer of every
+    family that can stream, stepped by a whole trace (predict_rows,
+    evaluate_model) or by a live stream's blocks (detect).
 
-    push_block scores the next block of rows (mlp: one Dense stack forward;
-    conv: one _ConvEngine step), and push one row, so the stream gives
-    predict_rows's probabilities on every row (a property test pins this),
-    however it is cut into blocks, from bounded state. The branch
-    geometry follows the stream's own sample period: the gap between its
-    first two timestamps, in whichever blocks they come; the rule
-    telemetry.parse_trace_csv applies to a batch trace. Rows without
-    timestamps (bare arrays) assume telemetry.DEFAULT_SAMPLE_PERIOD_S.
+    push_block normalizes the next block of rows and hands it to the
+    family's block step (_Family.step); push is its one-row case. A row
+    family scores every row; a sequence family scores each row that closes
+    a chunk of sequence_length rows, counted from row 0, and gives None to
+    the others. Property tests pin that any cut of a stream into blocks
+    gives the same probabilities, up to float rounding, from bounded state.
     """
 
     def __init__(self, artifact: ModelArtifact):
-        if artifact.family not in ROW_FAMILIES:
+        step = _family(artifact.family).step
+        if step is None:
             raise BadShapeError(f"{artifact.family} cannot stream rows")
         self.artifact = artifact
-        self._engine = None
+        self._step = step(artifact)
 
-    def push(self, row) -> float:
+    def push(self, row) -> float | None:
         """The next row's probability; *row* is a SampleRow or a bare [F] array."""
         features = row.features if hasattr(row, "features") else row
         t = getattr(row, "t", None)
         return self.push_block(np.asarray(features, dtype=np.float64)[None, :],
                                None if t is None else (t,))[0]
 
-    def push_block(self, features: np.ndarray, times=None) -> list[float]:
+    def push_block(self, features: np.ndarray, times=None) -> list[float | None]:
         """The probabilities of the next n rows, *features* [n, F] (n >= 1)
         with their timestamps *times* [n], or None for bare rows."""
-        x = _model_rows(self.artifact, features)
-        if self.artifact.family == "mlp":
-            probs, _ = self.artifact.network.forward(x, mode="infer")
-            return probs.reshape(-1).tolist()
-        return self._conv_engine(times, len(x)).step_block(x).tolist()
-
-    def _conv_engine(self, times, n: int) -> _ConvEngine:
-        """The stream's engine: row 0 starts it (row 0 is the same in every
-        branch at any period), row 1 sets its period."""
-        if self._engine is None:
-            self._engine = _ConvEngine(self.artifact, DEFAULT_SAMPLE_PERIOD_S)
-            self._t0 = None if times is None else times[0]
-        seen = self._engine.seen
-        if seen < 2 <= seen + n and times is not None and self._t0 is not None:
-            t = times[1 - seen]
-            period = float(t) - float(self._t0)
-            if period <= 0:
-                raise NonMonotonicTimeError(f"time does not increase at row 1 ({self._t0} -> {t})")
-            self._engine.set_period(period)
-        return self._engine
+        return self._step(_model_rows(self.artifact, features), times)
 
 
-class SequenceStreamPredictor:
-    """Buffers a live row stream into model-length chunks.
+def _dense_step(artifact: ModelArtifact):
+    """mlp: each row scored alone, one forward per block."""
+    return lambda x, times: _forward(artifact, x).tolist()
 
-    A chunk's probability falls on the row that completes it; every other
-    row gets None, and the consecutive-sample counter counts chunk
-    predictions. push_block scores every chunk a block completes with one
-    predict_sequences call; push is its one-row case.
-    """
+
+class _ConvStep:
+    """conv_multibranch: one _ConvEngine, started by row 0 (the same in every
+    branch at any period). The gap between the first two timestamps sets its
+    period, as parse_trace_csv's for a batch trace; bare rows keep the default."""
 
     def __init__(self, artifact: ModelArtifact):
-        if artifact.family not in RNN_FAMILIES:
-            raise BadShapeError(f"{artifact.family} is not a sequence model")
+        self.engine = _ConvEngine(artifact, DEFAULT_SAMPLE_PERIOD_S)
+
+    def __call__(self, x: np.ndarray, times) -> list[float]:
+        seen = self.engine.seen
+        if not seen:
+            self.t0 = None if times is None else times[0]
+        if seen < 2 <= seen + len(x) and times is not None and self.t0 is not None:
+            t = times[1 - seen]
+            period = float(t) - float(self.t0)
+            if period <= 0:
+                raise NonMonotonicTimeError(f"time does not increase at row 1 ({self.t0} -> {t})")
+            self.engine.set_period(period)
+        return self.engine.step_block(x).tolist()
+
+
+class _ChunkStep:
+    """The recurrent families: the stream's rows buffered into chunks of
+    sequence_length rows. A chunk's probability falls on the row that
+    closes it and every other row gets None; one forward scores every
+    chunk a block closes."""
+
+    def __init__(self, artifact: ModelArtifact):
         if artifact.sequence_length is None:
             raise BadShapeError("sequence model has no configured length (untrained?)")
         self.artifact = artifact
         self._parts: list[np.ndarray] = []  # the rows of the unfinished chunk
         self._buffered = 0
 
-    def push(self, row) -> float | None:
-        features = row.features if hasattr(row, "features") else row
-        return self.push_block(np.asarray(features, dtype=np.float64)[None, :])[0]
-
-    def push_block(self, features: np.ndarray, times=None) -> list[float | None]:
-        """The next n rows' probabilities, *features* [n, F]; *times* is
-        accepted for RowStreamPredictor's signature and not used."""
-        L, k, n = self.artifact.sequence_length, self._buffered, len(features)
+    def __call__(self, x: np.ndarray, times) -> list[float | None]:
+        L, k, n = self.artifact.sequence_length, self._buffered, len(x)
         done = (k + n) // L
         probs = [None] * n
         if done:
-            rows = np.concatenate(self._parts + [features[:done * L - k]])
-            batch = SequenceBatch(sequences=rows.reshape(done, L, -1),
-                                  labels=np.zeros(done, dtype=np.int64))
-            probs[L - 1 - k::L] = predict_sequences(self.artifact, batch).tolist()
-            self._parts, self._buffered, features = [], 0, features[done * L - k:]
-        if len(features):
-            self._parts.append(np.array(features, dtype=np.float64))
-            self._buffered += len(features)
+            rows = np.concatenate(self._parts + [x[:done * L - k]])
+            probs[L - 1 - k::L] = _forward(self.artifact, rows.reshape(done, L, -1)).tolist()
+            self._parts, self._buffered, x = [], 0, x[done * L - k:]
+        if len(x):
+            self._parts.append(np.array(x, dtype=np.float64))
+            self._buffered += len(x)
         return probs
 
 
@@ -931,7 +929,10 @@ class _Family:
     param_count: Callable   # (F, hyper) -> closed-form parameter count
     batches: Callable       # (artifact, train_model data, config) -> _Batches
     train_data: Callable    # (traces, sequence length) -> train_model data
-    stream: type | None     # live predictor; None for a family that cannot stream rows
+    unit: str | None        # a stream's unit: "row", "sequence" (sequence_length rows)
+                            # or None for a family that cannot stream rows
+    step: Callable | None   # (artifact) -> block step: (model rows [n, F], times or
+                            # None) -> n probabilities, None on a row closing no unit
 
 
 def _stacked_rows(traces: list[Trace], sequence_length=None) -> np.ndarray:
@@ -939,27 +940,27 @@ def _stacked_rows(traces: list[Trace], sequence_length=None) -> np.ndarray:
 
 
 _RNN = _Family(_rnn_network, _rnn_param_count, _sequence_batches, chunk_sequences,
-               SequenceStreamPredictor)
+               "sequence", _ChunkStep)
 
 _FAMILY_TABLE = {
     "mlp": _Family(
         _mlp_network, _mlp_param_count,
         lambda artifact, data, config: _row_batches(artifact, *data, config, "bce"),
         lambda traces, L: (_stacked_rows(traces), np.concatenate([t.labels for t in traces])),
-        RowStreamPredictor),
+        "row", _dense_step),
     "conv_multibranch": _Family(
         _conv_network, _conv_param_count, _conv_batches, lambda traces, L: traces,
-        RowStreamPredictor),
+        "row", _ConvStep),
     "autoencoder": _Family(
         _autoencoder_network, _autoencoder_param_count,
         lambda artifact, rows, config: _row_batches(artifact, rows, None, config, "mse"),
-        _stacked_rows, None),
+        _stacked_rows, None, None),
     **dict.fromkeys(RNN_VARIANTS, _RNN),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)
-ROW_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].stream is RowStreamPredictor)
-RNN_FAMILIES = tuple(RNN_VARIANTS)
+ROW_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].unit == "row")
+RNN_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].unit == "sequence")
 
 
 def _family(name: str) -> _Family:
@@ -974,12 +975,10 @@ def training_data(family: str, traces: list[Trace], sequence_length: int | None 
     return _family(family).train_data(traces, sequence_length)
 
 
-def stream_predictor(artifact: ModelArtifact):
-    """The live predictor (push one row at a time) for the artifact's family."""
-    stream = _family(artifact.family).stream
-    if stream is None:
-        raise BadShapeError(f"{artifact.family} cannot stream rows")
-    return stream(artifact)
+def stream_unit(family: str) -> str | None:
+    """What a stream of *family*'s rows scores: "row", "sequence", or None
+    for a family that cannot stream rows."""
+    return _family(family).unit
 
 
 # --- persistence ----------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Every name the traced benchmark wraps (bench/tracing.py TARGETS) still
-exists, so deleting or renaming one fails here rather than in a traced
-benchmark run, and the recurrent spans still record each layer call."""
+"""Every name the traced benchmark wraps (bench/tracing.py TARGETS) and
+every sidewatch name the benchmark's stages use still exists, so deleting
+or renaming one fails here rather than in a benchmark run, and the
+recurrent spans still record each layer call."""
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sidewatch.nn import GRU, Bidirectional, Sequential
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
+# The sidewatch modules the benchmark scripts may read names from.
+MODULES = ("models", "featurize", "telemetry", "evalharness", "detector", "synthgen", "cli")
 
 
 def _load_tracing():
@@ -40,6 +46,34 @@ def test_every_traced_name_resolves():
     assert targets
     missing = [f"{module}.{attr}" for module, attr, _, _ in targets
                if not _resolves(module, attr)]
+    assert missing == []
+
+
+def _sidewatch_names(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for each name *path* reads from a sidewatch module:
+    `m.name` after `from sidewatch import m` (m one of MODULES), and each
+    name of `from sidewatch.<module> import name`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "sidewatch":
+            bound.update({a.asname or a.name: f"sidewatch.{a.name}"
+                          for a in node.names if a.name in MODULES})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sidewatch."):
+            names += [(node.module, a.name) for a in node.names]
+    names += [(bound[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound]
+    return names
+
+
+@pytest.mark.parametrize("script", ["stages.py", "run.py"])
+def test_every_sidewatch_name_the_bench_uses_resolves(script):
+    names = _sidewatch_names(BENCH / script)
+    if script == "stages.py":
+        assert ("sidewatch.models", "RowStreamPredictor") in names
+    missing = [f"{module}.{name}" for module, name in sorted(set(names))
+               if not hasattr(importlib.import_module(module), name)]
     assert missing == []
 
 

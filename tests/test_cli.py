@@ -171,13 +171,18 @@ class TestTrainEval:
         ("train", "--val-fraction", "1.0"),
         ("train", "--patience", "-1"),
         ("split", "--train-benign", "-1"),
+        ("generate", "--features", "0"),
+        ("train", "--dim", "0"),
+        ("train", "--hidden", "0"),
+        ("sweep", "--dims", "0"),
     ])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, command, flag, value,
                                                route):
         # Neither corpus nor model exists: the value must be refused first.
         absent = str(tmp_path / "absent")
-        argv = {"eval": ["eval", "--corpus", absent, "--model", absent],
+        argv = {"generate": ["generate", "--out", absent],
+                "eval": ["eval", "--corpus", absent, "--model", absent],
                 "detect": ["detect", "--model", absent],
                 "sweep": ["sweep", "threshold", "--corpus", absent, "--model", absent],
                 "train": ["train", "--corpus", absent, "--family", "mlp"],
@@ -566,6 +571,25 @@ class TestDetect:
         rc = cli.main(["detect", "--model", str(path), "--source", str(tmp_path / "unread.csv")])
         assert rc == EXIT_DATA
         assert "autoencoder cannot stream rows" in capsys.readouterr().err
+
+    def test_missing_source_writes_nothing(self, cli_corpus, tmp_path, capsys):
+        root, corpus, model_path = cli_corpus
+        events, ckpt = tmp_path / "ev.jsonl", tmp_path / "ck.json"
+        argv = ["detect", "--model", str(model_path), "--source", str(tmp_path / "missing.csv"),
+                "--events", str(events), "--checkpoint", str(ckpt)]
+        assert cli.main(argv[:-2]) == EXIT_DATA
+        assert "i/o error" in capsys.readouterr().err
+        assert not events.exists()
+
+        trace_path, _ = self._malicious_trace_path(corpus)
+        assert cli.main(["detect", "--model", str(model_path), "--source", str(trace_path),
+                         "--threshold", "20", "--checkpoint", str(ckpt)]) == EXIT_ALERT
+        saved = ckpt.read_bytes()
+        events.unlink(missing_ok=True)
+        assert cli.main(argv) == EXIT_DATA
+        assert not events.exists()
+        assert ckpt.read_bytes() == saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
 
     def test_follow_waits_for_the_newline(self, tmp_path, monkeypatch):
         path = tmp_path / "live.csv"

@@ -51,7 +51,7 @@ def reference_detect(model, source, cfg: DetectorConfig, checkpoint=None):
     completes.
     Returns (exit code, stderr, checkpoint dict or None, event records)."""
     artifact = models.load_model(model)
-    predictor = models.stream_predictor(artifact)
+    predictor = models.RowStreamPredictor(artifact)
     state = StreamState(cfg=cfg)
     start_index = 0
     if checkpoint is not None and Path(checkpoint).exists():

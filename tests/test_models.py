@@ -12,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidewatch import featurize, models
+from sidewatch.detector import DetectorConfig, row_flags
 from sidewatch.errors import (
     BadShapeError,
     CorruptArtifactError,
     NoDataError,
+    NoSequencesError,
     NonMonotonicTimeError,
     ShapeMismatchError,
     VersionMismatchError,
     WrongSequenceLengthError,
 )
+from sidewatch.evalharness import ConfusionCounts, evaluate_model
 from sidewatch.models import (
     RNN_FAMILIES,
     RowStreamPredictor,
@@ -599,6 +602,55 @@ class TestRowStream:
             calls.clear()
             predictor.push(SampleRow(t=0.5 * i, features=rows[i % 64], label=0))
             assert len(calls) == 3 + (i % f_mid == 0) + (i % f_long == 0) <= 5
+
+
+class TestSequenceStream:
+    """RowStreamPredictor over the recurrent families: each row that closes
+    a chunk of sequence_length rows gets that chunk's predict_sequences
+    probability, every other row None, however the stream is cut into
+    blocks; evaluate_model counts those chunks."""
+
+    @given(data=st.data(), family=st.sampled_from(RNN_FAMILIES), L=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_stream_equals_chunked_batch(self, data, family, L, seed):
+        T = data.draw(st.integers(1, 3 * L + 5), label="T")
+        cuts = sorted(data.draw(st.sets(st.integers(1, T), max_size=6), label="cuts") - {T})
+        rng = np.random.default_rng(seed)
+        trace = random_trace(rng, T=T, F=3)
+        trace.labels[:] = rng.integers(0, 2, size=T)
+        cell, bidirectional = models.RNN_VARIANTS[family]
+        m = build_rnn(3, cell=cell, bidirectional=bidirectional, seed=seed)
+        m.norm = featurize.zscore_fit(np.vstack([trace.features, trace.features + 1.0]))
+        m.sequence_length = L
+        batch = featurize.chunk_sequences([trace], L)
+        reference = predict_sequences(m, batch)
+
+        predictor = RowStreamPredictor(m)
+        probs, expected = [], []
+        for lo, hi in zip([0, *cuts], [*cuts, T]):
+            probs += predictor.push_block(trace.features[lo:hi], trace.times[lo:hi].tolist())
+            # The chunks this block closes, in one forward as the stream
+            # scores them: a forward's rounding depends on how many chunks
+            # it takes (numpy multiplies one chunk's rows as a vector).
+            closed = slice(lo // L, hi // L)
+            expected.append(predict_sequences(m, featurize.SequenceBatch(
+                batch.sequences[closed], batch.labels[closed])))
+        closes = [i for i, p in enumerate(probs) if p is not None]
+        assert closes == list(range(L - 1, T - T % L, L))
+        streamed = np.array([probs[i] for i in closes])
+        assert streamed.tobytes() == np.concatenate(expected).tobytes()
+        np.testing.assert_allclose(streamed, reference, rtol=0, atol=1e-12)
+
+        whole = RowStreamPredictor(m).push_block(trace.features, trace.times)
+        assert np.array([p for p in whole if p is not None]).tobytes() == reference.tobytes()
+        if not closes:
+            with pytest.raises(NoSequencesError):
+                evaluate_model(m, [trace], DetectorConfig())
+            return
+        cfg = DetectorConfig(prob_cutoff=float(np.median(reference)))
+        counts = ConfusionCounts("sequence").add(row_flags(reference, cfg), batch.labels == 1)
+        assert evaluate_model(m, [trace], cfg).seq_confusion == counts
 
 
 class TestConvEngine:
