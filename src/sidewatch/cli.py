@@ -71,6 +71,7 @@ def _checked(convert, allowed, rule: str):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _count = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _probability = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _fraction = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _positive_int_list = _checked(_int_list, lambda vs: all(v >= 1 for v in vs),
@@ -126,7 +127,6 @@ def _detector_config(args) -> DetectorConfig:
         consec_threshold=args.threshold,
         sample_period_s=args.period,
         latching=not getattr(args, "no_latch", False),
-        rnn_aggregation=getattr(args, "rnn_aggregation", "any"),
     )
 
 
@@ -148,10 +148,8 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
                    help="row probability above which a row is malicious (default 0.5)")
     p.add_argument("--threshold", type=_positive_int, default=50,
                    help="consecutive malicious samples to flag a file (default 50)")
-    p.add_argument("--period", type=float, default=0.5,
+    p.add_argument("--period", type=_positive_float, default=0.5,
                    help="sample period in seconds for detection timing (default 0.5)")
-    p.add_argument("--rnn-aggregation", choices=("any", "majority"), default="any",
-                   help="how sequence verdicts roll up to a file verdict (default any)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -300,8 +298,7 @@ def _cmd_eval(args) -> int:
     cfg = _detector_config(args)
     report = evalharness.EvalReport(config={
         "detector": {"prob_cutoff": cfg.prob_cutoff, "consec_threshold": cfg.consec_threshold,
-                     "sample_period_s": cfg.sample_period_s,
-                     "rnn_aggregation": cfg.rnn_aggregation},
+                     "sample_period_s": cfg.sample_period_s},
         "models": [str(m) for m in args.model],
         "corpus": str(args.corpus),
     })
@@ -421,7 +418,7 @@ def _cmd_detect(args) -> int:
                 probs = predictor.push_block(features, times)
                 for index, (t, prob) in enumerate(zip(times, probs), first):
                     if index >= start_index and prob is not None:
-                        event = stream_step(state, prob)
+                        event = stream_step(state, prob, predictor.unit_rows)
                         if event != "none":
                             events.append(json.dumps(
                                 {"event": event, "row": index, "t": t,
@@ -497,11 +494,11 @@ def build_parser() -> _Parser:
                         "num_features, duration_s, sample_period_s, onset_choices, "
                         "seed, difficulty)")
     p.add_argument("--seed", type=int, default=None, help="override spec seed (default 0)")
-    p.add_argument("--difficulty", type=float, default=None,
+    p.add_argument("--difficulty", type=_finite_nonnegative, default=None,
                    help="override effect-magnitude scale (default 1.0)")
     p.add_argument("--features", type=_positive_int, default=None,
                    help="override feature count (default 132)")
-    p.add_argument("--duration", type=float, default=None,
+    p.add_argument("--duration", type=_positive_float, default=None,
                    help="override trace duration in seconds (default 480)")
     p.set_defaults(func=_cmd_generate)
 

@@ -1,13 +1,20 @@
-"""File-level verdicts from per-row probabilities: the consecutive-sample
+"""File-level verdicts from unit probabilities: the consecutive-sample
 threshold rule, time-to-detect, and a latching streaming detector.
 
-A row counts as malicious when its probability exceeds the cutoff; a file
-is malicious only once some run of at least ``consec_threshold``
-consecutive malicious rows exists (50 by default, i.e. 25 seconds at the
-0.5 s sample period). Requiring a run keeps single-row transients from
-flagging a whole file. The alert row is the run's threshold-th row,
-counted inclusively, so a perfect detector's time-to-detect is exactly
+A unit is what a model scores: a row (mlp, conv) or a chunk of
+``sequence_length`` rows (the recurrent families). A unit whose
+probability exceeds the cutoff adds its rows to the run; any other unit
+resets the run to 0. A file is malicious once the run reaches
+``consec_threshold`` rows (50 by default, 25 s at the 0.5 s sample
+period), and the alert falls on the row closing the unit that brought it
+there. Requiring a run keeps single-unit transients from flagging a whole
+file. A perfect row-family detector's time-to-detect is therefore exactly
 ``consec_threshold * sample_period_s``.
+
+``stream_step`` is the rule, one unit at a time; ``classify_file`` is the
+same fold over a whole file, vectorised, and a property test pins the two
+equal. A run-length rule is the simplest sequential change detector, a
+degenerate CUSUM (Page 1954, "Continuous inspection schemes").
 
 The detector sees only probabilities: telemetry's row parser decides
 whether a row, its time order included, is valid.
@@ -30,16 +37,12 @@ class DetectorConfig:
     consec_threshold: int = DEFAULT_CONSEC_THRESHOLD
     sample_period_s: float = 0.5
     latching: bool = True
-    # How a sequence model's per-sequence verdicts roll up to a file verdict.
-    rnn_aggregation: str = "any"  # "any" | "majority"
 
     def __post_init__(self):
         if not 0.0 < self.prob_cutoff < 1.0:
             raise ValueError(f"prob_cutoff must be in (0, 1), got {self.prob_cutoff}")
         if self.consec_threshold < 1:
             raise ValueError(f"consec_threshold must be >= 1, got {self.consec_threshold}")
-        if self.rnn_aggregation not in ("any", "majority"):
-            raise ValueError(f"unknown rnn_aggregation {self.rnn_aggregation!r}")
 
 
 @dataclass(frozen=True)
@@ -54,33 +57,34 @@ class DetectionVerdict:
 
 
 def row_flags(row_probs: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
-    """Row labels: probability strictly above the cutoff is malicious."""
+    """Unit labels: probability strictly above the cutoff is malicious."""
     return np.asarray(row_probs, dtype=np.float64) > cfg.prob_cutoff
 
 
-def find_alert_row(flags: np.ndarray, threshold: int) -> int | None:
-    """Index of the threshold-th row of the first qualifying run, if any."""
-    run = 0
-    for i, flag in enumerate(np.asarray(flags, dtype=bool)):
-        run = run + 1 if flag else 0
-        if run == threshold:
-            return i
-    return None
+def malicious_runs(unit_probs: np.ndarray, cfg: DetectorConfig, rows: int = 1) -> np.ndarray:
+    """The run, in rows, after each unit of a stream that starts at run 0:
+    stream_step's counter, from one cumulative sum. Each unit covers *rows*
+    rows."""
+    flags = row_flags(unit_probs, cfg)
+    count = np.cumsum(flags)
+    at_last_benign = np.maximum.accumulate(np.where(flags, 0, count))
+    return (count - at_last_benign) * rows
 
 
-def classify_file(row_probs: np.ndarray, cfg: DetectorConfig) -> DetectionVerdict:
-    """Apply the consecutive-sample rule to a whole file's probabilities."""
-    flags = row_flags(row_probs, cfg)
-    alert = find_alert_row(flags, cfg.consec_threshold)
-    if alert is None:
+def classify_file(unit_probs: np.ndarray, cfg: DetectorConfig, rows: int = 1) -> DetectionVerdict:
+    """Apply the consecutive-sample rule to a whole file's unit
+    probabilities, unit i closing row (i + 1) * rows - 1: the verdict and
+    alert row of folding stream_step over them from a fresh state."""
+    hits = np.flatnonzero(malicious_runs(unit_probs, cfg, rows) >= cfg.consec_threshold)
+    if not hits.size:
         return DetectionVerdict("benign")
-    return DetectionVerdict("malicious", alert_row=alert)
+    return DetectionVerdict("malicious", alert_row=(int(hits[0]) + 1) * rows - 1)
 
 
 def time_to_detect(verdict: DetectionVerdict, onset_row: int, cfg: DetectorConfig) -> float:
     """Seconds from onset to alert, counting the alert row inclusively.
 
-    A perfect detector therefore scores exactly
+    A perfect row-family detector therefore scores exactly
     consec_threshold * sample_period_s (25 s at the defaults).
     """
     if not verdict.is_malicious or verdict.alert_row is None:
@@ -100,7 +104,8 @@ EVENT_STILL_MALICIOUS = "still_malicious"
 
 @dataclass
 class StreamState:
-    """Incremental consecutive-counter state for one telemetry stream."""
+    """Incremental consecutive-counter state for one telemetry stream;
+    rows_seen and run count rows."""
 
     cfg: DetectorConfig
     run: int = 0
@@ -109,50 +114,32 @@ class StreamState:
     alert_row: int | None = None
 
 
-def stream_step(state: StreamState, prob: float) -> str:
-    """Advance the detector by one row's probability; returns the event:
-    ``alert`` exactly once, when the counter first reaches the threshold;
-    in latching mode ``still_malicious`` on every later row of the stream;
-    non-latching mode re-arms once the malicious run breaks.
+def stream_step(state: StreamState, prob: float, rows: int = 1) -> str:
+    """Advance the detector by one unit's probability, the unit covering
+    the next *rows* rows; returns the event: ``alert`` exactly once, on the
+    unit that first brings the run to the threshold or past it, with the
+    unit's last row as the alert row; in latching mode ``still_malicious``
+    on every later unit of the stream; non-latching mode re-arms once the
+    malicious run breaks.
     """
     cfg = state.cfg
-    index = state.rows_seen
-    state.rows_seen += 1
+    state.rows_seen += rows
 
     if state.alerted and cfg.latching:
         return EVENT_STILL_MALICIOUS
 
     malicious = prob > cfg.prob_cutoff
-    state.run = state.run + 1 if malicious else 0
+    state.run = state.run + rows if malicious else 0
 
     if not malicious:
         if state.alerted and not cfg.latching:
             state.alerted = False  # run broke: re-arm
         return EVENT_NONE
 
-    if state.run == cfg.consec_threshold and not state.alerted:
+    if state.run >= cfg.consec_threshold and not state.alerted:
         state.alerted = True
-        state.alert_row = index
+        state.alert_row = state.rows_seen - 1
         return EVENT_ALERT
     if state.alerted:
         return EVENT_STILL_MALICIOUS
     return EVENT_NONE
-
-
-def stream_verdict(state: StreamState) -> DetectionVerdict:
-    """Verdict equivalent to classify_file over everything streamed so far."""
-    if state.alert_row is None:
-        return DetectionVerdict("benign")
-    return DetectionVerdict("malicious", alert_row=state.alert_row)
-
-
-def aggregate_sequence_verdict(seq_probs: np.ndarray, cfg: DetectorConfig) -> DetectionVerdict:
-    """File verdict from a sequence model's per-sequence probabilities."""
-    flags = row_flags(seq_probs, cfg)
-    if flags.size == 0:
-        return DetectionVerdict("benign")
-    if cfg.rnn_aggregation == "any":
-        malicious = bool(flags.any())
-    else:
-        malicious = 2 * int(flags.sum()) >= flags.size
-    return DetectionVerdict("malicious" if malicious else "benign")

@@ -2,8 +2,10 @@
 
 Rates follow the granularity each model family reports at: row-level
 FPR/FNR for the per-row models (MLP, conv), file-level for the recurrent
-families; the report tags the granularity explicitly. Benign files have
-no time-to-detect and are excluded from detection-time statistics.
+families; the report tags the granularity explicitly. Every family's file
+verdict, alert row and time-to-detect come from the one rule `detect`
+runs (detector.classify_file, counted in rows). Benign files have no
+time-to-detect and are excluded from detection-time statistics.
 
 Sweep points retrain with seeds derived as base seed + point index:
 reproducible yet independent draws per point.
@@ -20,9 +22,8 @@ import numpy as np
 from .detector import (
     DetectionVerdict,
     DetectorConfig,
-    aggregate_sequence_verdict,
     classify_file,
-    find_alert_row,
+    malicious_runs,
     row_flags,
     time_to_detect,
 )
@@ -237,10 +238,6 @@ def _file_result(trace: Trace, verdict: DetectionVerdict, cfg: DetectorConfig) -
     )
 
 
-# The file verdict rule of each scoring unit.
-_VERDICT_RULES = {"row": classify_file, "sequence": aggregate_sequence_verdict}
-
-
 def _unit_truths(labels: np.ndarray, closes: np.ndarray) -> np.ndarray:
     """The truth of each unit, by the rows *closes* that close them: the
     majority label (featurize.chunk_label, ties malicious) of the rows
@@ -259,25 +256,26 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
     of sequence_length rows of a sequence family. Its truth is the
     majority label of the rows it closes (_unit_truths). Test order is
     fixed (name-sorted); a file with no unit (one shorter than the
-    sequence length) is not evaluated. Sequence families report at
-    sequence/file level only.
+    sequence length) is not evaluated. The file verdict is classify_file
+    over the units, each covering its rows, as `detect` folds them.
+    Sequence families report at sequence/file level only.
     """
     units = stream_unit(artifact.family)
     if units is None:
         raise BadShapeError(f"{artifact.family} cannot be evaluated against traces")
-    verdict_of = _VERDICT_RULES[units]
     traces = sorted(traces, key=lambda t: (t.meta.subject_name, t.meta.category))
     unit_conf = ConfusionCounts(units)
     file_conf = ConfusionCounts("file")
     files: list[FileResult] = []
     for trace in traces:
-        scored = RowStreamPredictor(artifact).push_block(trace.features, trace.times)
+        predictor = RowStreamPredictor(artifact)
+        scored = predictor.push_block(trace.features, trace.times)
         closes = np.flatnonzero([p is not None for p in scored])
         if not closes.size:
             continue
         probs = np.array([scored[i] for i in closes])
         unit_conf = unit_conf.add(row_flags(probs, cfg), _unit_truths(trace.labels, closes))
-        verdict = verdict_of(probs, cfg)
+        verdict = classify_file(probs, cfg, predictor.unit_rows)
         file_conf = file_conf.add([verdict.is_malicious], [trace.meta.is_malicious])
         files.append(_file_result(trace, verdict, cfg))
     rows = units == "row"
@@ -293,7 +291,7 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
         seq_confusion=None if rows else unit_conf,
         files=files,
         files_evaluated=len(files),
-        mean_ttd_s=float(np.mean(ttds)) if rows and ttds else None,
+        mean_ttd_s=float(np.mean(ttds)) if ttds else None,
     )
 
 
@@ -302,17 +300,15 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
 
 def sweep_threshold(artifact: ModelArtifact, traces: list[Trace],
                     thresholds: list[int], cfg: DetectorConfig) -> list[tuple[int, float]]:
-    """File accuracy per consecutive-sample threshold, one prediction pass."""
+    """File accuracy per consecutive-sample threshold, one prediction pass:
+    a file is flagged at a threshold its longest malicious run reaches."""
     if any(t < 1 for t in thresholds):
         raise ValueError("thresholds must be positive")
     traces = sorted(traces, key=lambda t: (t.meta.subject_name, t.meta.category))
-    flag_rows = [row_flags(predict_rows(artifact, t), cfg) for t in traces]
+    longest = np.array([malicious_runs(predict_rows(artifact, t), cfg).max(initial=0)
+                        for t in traces])
     truths = np.array([t.meta.is_malicious for t in traces])
-    curve = []
-    for thr in thresholds:
-        flagged = np.array([find_alert_row(fl, thr) is not None for fl in flag_rows])
-        curve.append((int(thr), float(np.mean(flagged == truths))))
-    return curve
+    return [(int(thr), float(np.mean((longest >= thr) == truths))) for thr in thresholds]
 
 
 def sweep_encoding_dims(

@@ -841,16 +841,19 @@ class RowStreamPredictor:
     family's block step (_Family.step); push is its one-row case. A row
     family scores every row; a sequence family scores each row that closes
     a chunk of sequence_length rows, counted from row 0, and gives None to
-    the others. Property tests pin that any cut of a stream into blocks
-    gives the same probabilities, up to float rounding, from bounded state.
+    the others; unit_rows is the rows one probability covers, which the
+    detector's run counts. Property tests pin that any cut of a stream into
+    blocks gives the same probabilities, up to float rounding, from bounded
+    state.
     """
 
     def __init__(self, artifact: ModelArtifact):
-        step = _family(artifact.family).step
-        if step is None:
+        family = _family(artifact.family)
+        if family.step is None:
             raise BadShapeError(f"{artifact.family} cannot stream rows")
         self.artifact = artifact
-        self._step = step(artifact)
+        self._step = family.step(artifact)
+        self.unit_rows = artifact.sequence_length if family.unit == "sequence" else 1
 
     def push(self, row) -> float | None:
         """The next row's probability; *row* is a SampleRow or a bare [F] array."""

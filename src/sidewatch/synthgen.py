@@ -19,6 +19,7 @@ added on top of the shared baseline, never woven into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -241,15 +242,17 @@ class CorpusSpec:
     def validate(self) -> None:
         if self.num_features < 1:
             raise BadSpecError("num_features must be >= 1")
-        if self.duration_s <= 0 or self.sample_period_s <= 0:
-            raise BadSpecError("duration and sample period must be positive")
+        if not (0 < self.duration_s < math.inf and 0 < self.sample_period_s < math.inf):
+            raise BadSpecError("duration and sample period must be positive finite numbers")
+        if not 0 <= self.difficulty < math.inf:
+            raise BadSpecError(f"difficulty must be a finite number >= 0, got {self.difficulty}")
         for kind, n in self.benign_counts.items():
             if kind not in WORKLOAD_KINDS or n < 0:
                 raise BadSpecError(f"bad benign count {kind!r}={n}")
         for kind, n in self.malware_counts.items():
             if kind not in MALWARE_CATEGORIES or n < 0:
                 raise BadSpecError(f"bad malware count {kind!r}={n}")
-        if any(t >= self.duration_s or t < 0 for t in self.onset_choices):
+        if not all(0 <= t < self.duration_s for t in self.onset_choices):
             raise BadSpecError("onset choices must lie inside the trace duration")
         if not self.onset_choices and sum(self.malware_counts.values()):
             raise BadSpecError("malware requested but no onset choices")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sidewatch import cli, evalharness, featurize, models, synthgen, telemetry
-from sidewatch.detector import DetectorConfig, StreamState, classify_file, stream_step, stream_verdict
+from sidewatch.detector import DetectorConfig, StreamState, classify_file, stream_step
 from sidewatch.featurize import chunk_sequences, downsample, make_branch_set, make_row_windows, rolling_mean
 from sidewatch.models import (
     TrainConfig,
@@ -258,7 +258,7 @@ def test_criterion_4_detector_oracle():
         state = StreamState(cfg=cfg)
         for p in probs:
             stream_step(state, float(p))
-        assert stream_verdict(state).alert_row == expect
+        assert state.alert_row == expect
 
     cfg = DetectorConfig()  # defaults: threshold 50, period 0.5
     flags = np.zeros(400, dtype=bool)
@@ -414,12 +414,12 @@ def test_criterion_7_threshold_and_encoding_sweeps(sweep_corpus):
     thresholds = list(range(1, 101))
     curve = evalharness.sweep_threshold(mlp, test, thresholds, cfg)
     assert len(curve) == 100
-    from sidewatch.detector import find_alert_row, row_flags
-    flags = [row_flags(predict_rows(mlp, t), cfg) for t in test]
+    probs = [predict_rows(mlp, t) for t in test]
     prev = None
     for thr in thresholds:
-        flagged = frozenset(i for i, fl in enumerate(flags)
-                            if find_alert_row(fl, thr) is not None)
+        per = DetectorConfig(consec_threshold=thr)
+        flagged = frozenset(i for i, p in enumerate(probs)
+                            if classify_file(p, per).is_malicious)
         if prev is not None:
             assert flagged <= prev, f"flagged set grew at threshold {thr}"
         prev = flagged

@@ -1,17 +1,22 @@
 """Every name the traced benchmark wraps (bench/tracing.py TARGETS) and
-every sidewatch name the benchmark's stages use still exists, so deleting
-or renaming one fails here rather than in a benchmark run, and the
-recurrent spans still record each layer call."""
+every sidewatch name the benchmark's stages use still exists, every call
+they make to sidewatch still binds to its signature, and every flag they
+pass to `sidewatch` is still accepted, so deleting, renaming or
+re-signing one fails here rather than in a benchmark run; the recurrent
+spans still record each layer call."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sidewatch import cli
 from sidewatch.nn import GRU, Bidirectional, Sequential
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -75,6 +80,103 @@ def test_every_sidewatch_name_the_bench_uses_resolves(script):
     missing = [f"{module}.{name}" for module, name in sorted(set(names))
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def _key(node):
+    """A name or `self.<attr>` expression as text, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return f"self.{node.attr}"
+    return None
+
+
+def _sidewatch_calls(path: Path):
+    """(call node, callable, positional count, keyword names) for each call *path*
+    makes to sidewatch: `m.f(...)` with m a sidewatch module, `f(...)` with f
+    imported from one, and `x.method(...)` with x (a name or self attribute)
+    assigned an instance of one sidewatch class only. A method's count
+    includes self."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}  # local name -> sidewatch module or object
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sidewatch":
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                bound[a.asname or a.name] = getattr(module, a.name, None) or \
+                    importlib.import_module(f"{node.module}.{a.name}")
+
+    def target(func):
+        if isinstance(func, ast.Name):
+            return bound.get(func.id)
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and inspect.ismodule(bound.get(func.value.id)):
+            return getattr(bound[func.value.id], func.attr)
+        return None
+
+    classes = {}  # name or self attribute -> the sidewatch classes assigned to it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            made = target(node.value.func)
+            for key in map(_key, node.targets):
+                if key is not None and inspect.isclass(made):
+                    classes.setdefault(key, set()).add(made)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, extra = target(node.func), 0
+        if func is None and isinstance(node.func, ast.Attribute):
+            owners = classes.get(_key(node.func.value), ())
+            if len(owners) == 1:
+                func, extra = getattr(next(iter(owners)), node.func.attr), 1
+        if func is None or inspect.ismodule(func):
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        assert all(k.arg is not None for k in node.keywords), ast.unparse(node)
+        calls.append((node, func, len(node.args) + extra, [k.arg for k in node.keywords]))
+    return tree, calls
+
+
+@pytest.mark.parametrize("script", ["stages.py", "run.py"])
+def test_every_sidewatch_call_the_bench_makes_binds(script):
+    _, calls = _sidewatch_calls(BENCH / script)
+    if script == "stages.py":
+        made = {ast.unparse(node.func) for node, *_ in calls}
+        assert {"detector.classify_file", "detector.stream_step", "predictor.push",
+                "cli.main"} <= made
+    unbound = []
+    for node, func, positional, keywords in calls:
+        try:
+            inspect.signature(func).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{ast.unparse(node)}: {exc}")
+    assert unbound == []
+
+
+@pytest.mark.parametrize("script", ["stages.py", "run.py"])
+def test_every_flag_the_bench_passes_to_sidewatch_is_accepted(script):
+    tree, calls = _sidewatch_calls(BENCH / script)
+    lists = {}  # name -> the list literals assigned to it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List):
+            for key in map(_key, node.targets):
+                lists.setdefault(key, []).append(node.value)
+    argvs = []
+    for node, func, *_ in calls:
+        if func is cli.main:
+            arg, = node.args
+            argvs += [arg] if isinstance(arg, ast.List) else lists[_key(arg)]
+    if script == "stages.py":
+        assert argvs
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    refused = []
+    for argv in argvs:
+        words = [e.value for e in argv.elts if isinstance(e, ast.Constant)]
+        accepted = {s for a in sub.choices[words[0]]._actions for s in a.option_strings}
+        refused += [f"{words[0]} {w}" for w in words if w.startswith("--") and w not in accepted]
+    assert refused == []
 
 
 def test_traced_recurrent_spans_fire_once_per_layer_call():

@@ -67,6 +67,22 @@ class TestGenerate:
         assert rc == EXIT_DATA
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"duration_s": float("nan")}, "duration"),
+        ({"duration_s": float("inf")}, "duration"),
+        ({"sample_period_s": float("nan")}, "sample period"),
+        ({"difficulty": float("nan")}, "difficulty"),
+        ({"difficulty": -1.0}, "difficulty"),
+        ({"onset_choices": [float("nan")]}, "onset"),
+    ])
+    def test_non_finite_spec_value_is_data_error(self, tmp_path, capsys, doc, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))  # nan and inf as JSON's NaN and Infinity
+        rc = cli.main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_default_spec_is_57_files(self, tmp_path):
         # Table-1 composition at tiny trace sizes for speed.
         spec_path = tmp_path / "spec.json"
@@ -172,6 +188,12 @@ class TestTrainEval:
         ("train", "--patience", "-1"),
         ("split", "--train-benign", "-1"),
         ("generate", "--features", "0"),
+        ("generate", "--difficulty", "NaN"),
+        ("generate", "--difficulty", "-1"),
+        ("generate", "--duration", "NaN"),
+        ("generate", "--duration", "Infinity"),
+        ("eval", "--period", "NaN"),
+        ("detect", "--period", "0"),
         ("train", "--dim", "0"),
         ("train", "--hidden", "0"),
         ("sweep", "--dims", "0"),

@@ -1,6 +1,6 @@
 """`sidewatch detect` scores the rows it has as blocks: the same results as
-a per-row loop, bounded memory, and a checkpoint that counts only the rows
-whose step completed."""
+a per-row loop, bounded memory, a checkpoint that counts only the rows
+whose step completed, and the verdict `eval` reports for the same file."""
 
 import contextlib
 import csv
@@ -13,10 +13,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sidewatch import cli, models, telemetry
+from sidewatch import cli, evalharness, models, synthgen, telemetry
 from sidewatch.cli import EXIT_ALERT, EXIT_DATA, EXIT_OK
 from sidewatch.detector import DetectorConfig, StreamState, stream_step
 from sidewatch.errors import RaggedRowError, SidewatchError
@@ -64,7 +64,7 @@ def reference_detect(model, source, cfg: DetectorConfig, checkpoint=None):
         for index, row in _reference_rows(source):
             prob = predictor.push(row)
             if index >= start_index and prob is not None:
-                event = stream_step(state, prob)
+                event = stream_step(state, prob, predictor.unit_rows)
                 if event != "none":
                     events.append({"event": event, "row": index, "t": row.t,
                                    "model": artifact.family, "probability": prob})
@@ -301,11 +301,11 @@ def test_interrupt_mid_block_resumes_where_it_stopped(artifacts, tmp_path, monke
     argv = base + ["--events", str(events), "--checkpoint", str(ckpt)]
     steps = []
 
-    def interrupted_step(state, prob):
+    def interrupted_step(state, prob, rows):
         if len(steps) == k:
             raise KeyboardInterrupt
         steps.append(prob)
-        return stream_step(state, prob)
+        return stream_step(state, prob, rows)
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "stream_step", interrupted_step)
@@ -357,3 +357,95 @@ def test_memory_is_flat_over_a_long_source(tmp_path, monkeypatch):
     assert sum(sizes) == rows and max(sizes) <= telemetry.BLOCK_ROWS
     assert sorted(retained) == [20 * telemetry.BLOCK_ROWS - 1, rows]
     assert abs(retained[rows] - retained[20 * telemetry.BLOCK_ROWS - 1]) <= 512
+
+
+# --- eval and detect agree ----------------------------------------------------------
+
+
+def _detect_verdict(model, source, threshold, cutoff=0.5, latch=True):
+    """`sidewatch detect` over *source*: (exit code, first alert event row)."""
+    events = Path(source).with_suffix(".jsonl")
+    events.unlink(missing_ok=True)
+    argv = ["detect", "--model", str(model), "--source", str(source), "--events", str(events),
+            "--threshold", str(threshold), "--cutoff", repr(cutoff)]
+    code, stderr = run_detect(argv + ([] if latch else ["--no-latch"]))
+    assert stderr == ""
+    alerts = [e["row"] for e in read_events(events) if e["event"] == "alert"]
+    return code, alerts[0] if alerts else None
+
+
+def _eval_verdict(section):
+    """(exit code `detect` should give, alert row) of a one-file eval section."""
+    f, = section.files
+    return (EXIT_ALERT if f.verdict == "malicious" else EXIT_OK), f.alert_row
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# At least one chunk of the rnn's 4 rows, so that eval scores the file.
+@given(family=st.sampled_from(["mlp", "conv", "rnn"]), n=st.integers(4, 60),
+       period=st.sampled_from([0.5, 1.0]), seed=st.integers(0, 2**16),
+       onset=st.one_of(st.none(), st.integers(0, 30)), threshold=st.integers(1, 12),
+       latch=st.booleans(), cap=st.integers(1, 8), read_bytes=st.sampled_from([64, 400, 1 << 16]),
+       data=st.data())
+def test_eval_and_detect_agree(artifacts, family, n, period, seed, onset, threshold, latch,
+                               cap, read_bytes, data):
+    rng = np.random.default_rng(seed)
+    name = "probe_Win7SP1_hw1_" + ("office" if onset is None else f"worm_{onset * period!r}")
+    lines = [HEADER] + [",".join([repr(i * period), *map(repr, rng.normal(size=F).tolist()),
+                                  str(int(onset is not None and i >= onset))])
+                        for i in range(n)]
+    artifact = models.load_model(artifacts[family])
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / f"{name}.csv"
+        source.write_text("\n".join(lines) + "\n")
+        trace = telemetry.parse_trace_csv(source)
+        scored = models.RowStreamPredictor(artifact).push_block(trace.features, trace.times)
+        probs = sorted({p for p in scored if p is not None})
+        # A cutoff between two probabilities splits the units both ways.
+        cuts = [0.5] + [(a + b) / 2 for a, b in zip(probs, probs[1:]) if 0 < (a + b) / 2 < 1]
+        cutoff = data.draw(st.sampled_from(cuts))
+        # A chunk's probability can differ by a few ulps between a whole
+        # trace's forward and a block's, so no unit may sit at the cutoff.
+        assume(all(abs(p - cutoff) > 1e-12 for p in probs))
+        cfg = DetectorConfig(prob_cutoff=cutoff, consec_threshold=threshold, latching=latch)
+        want = _eval_verdict(evalharness.evaluate_model(artifact, [trace], cfg))
+        with mock.patch.object(telemetry, "BLOCK_ROWS", cap), \
+                mock.patch.object(telemetry, "_READ_BYTES", read_bytes):
+            assert _detect_verdict(artifacts[family], source, threshold, cutoff, latch) == want
+
+
+@pytest.fixture(scope="module")
+def gru_corpus(tmp_path_factory):
+    """A GRU with chunks of 20 rows, trained on a generated 240 s corpus."""
+    root = tmp_path_factory.mktemp("gru")
+    corpus = root / "corpus"
+    spec = synthgen.CorpusSpec(benign_counts={"os-only": 2, "office": 2},
+                               malware_counts={"ransomware": 2, "worm": 2}, num_features=8,
+                               duration_s=240.0, onset_choices=(30.0, 45.0, 60.0),
+                               seed=5, difficulty=3.0)
+    synthgen.generate_corpus(spec, corpus)
+    assert cli.main(["split", "--corpus", str(corpus), "--train-benign", "2",
+                     "--train-malicious", "2", "--seed", "3"]) == EXIT_OK
+    assert cli.main(["train", "--corpus", str(corpus), "--family", "rnn_gru", "--seq-len", "20",
+                     "--epochs", "30", "--optimizer", "rmsprop",
+                     "--out", str(root / "gru")]) == EXIT_OK
+    return corpus, root / "gru" / "model.json"
+
+
+@pytest.mark.parametrize("threshold", [50, 3])
+def test_gru_eval_and_detect_agree_file_by_file(gru_corpus, tmp_path, threshold):
+    # eval once called a file malicious if any chunk was, while detect
+    # needed --threshold malicious chunks in a row: at 50 that is 1,000
+    # rows, so detect passed both malware test files that eval flagged.
+    corpus, model = gru_corpus
+    assert cli.main(["eval", "--corpus", str(corpus), "--model", str(model),
+                     "--threshold", str(threshold), "--out", str(tmp_path)]) == EXIT_OK
+    files = json.loads((tmp_path / "report.json").read_text())["sections"][0]["files"]
+    manifest = telemetry.load_manifest(corpus / telemetry.MANIFEST_FILENAME)
+    paths = {e.meta.subject_name: e.path for e in manifest.select("test")}
+    assert sorted(f["name"] for f in files) == sorted(paths)
+    for f in files:
+        want = (EXIT_ALERT if f["verdict"] == "malicious" else EXIT_OK), f["alert_row"]
+        assert _detect_verdict(model, corpus / paths[f["name"]], threshold) == want
+        assert (f["verdict"] == "malicious") == (f["truth"] == "malicious")
+        assert (f["time_to_detect_s"] is not None) == (f["truth"] == "malicious")

@@ -9,10 +9,8 @@ from sidewatch.detector import (
     EVENT_STILL_MALICIOUS,
     DetectorConfig,
     StreamState,
-    aggregate_sequence_verdict,
     classify_file,
     stream_step,
-    stream_verdict,
     time_to_detect,
 )
 from sidewatch.errors import AlertBeforeOnsetError
@@ -120,8 +118,8 @@ class TestStream:
             state = StreamState(cfg=cfg)
             for p in probs:
                 stream_step(state, float(p))
-            assert stream_verdict(state).alert_row == batch.alert_row
-            assert stream_verdict(state).is_malicious == batch.is_malicious
+            assert state.alert_row == batch.alert_row
+            assert (state.alert_row is not None) == batch.is_malicious
 
     def test_alert_emitted_exactly_once(self):
         cfg = DetectorConfig(consec_threshold=3)
@@ -164,22 +162,47 @@ class TestStream:
                 assert stream_step(state, float(p)) == EVENT_NONE
 
 
-class TestSequenceAggregation:
-    def test_any_aggregation(self):
-        cfg = DetectorConfig(rnn_aggregation="any")
-        assert aggregate_sequence_verdict(np.array([0.1, 0.9, 0.1]), cfg).is_malicious
-        assert not aggregate_sequence_verdict(np.array([0.1, 0.2]), cfg).is_malicious
+def fold(probs, cfg, rows=1):
+    """stream_step folded over *probs* from a fresh state: (events, state)."""
+    state = StreamState(cfg=cfg)
+    return [stream_step(state, float(p), rows) for p in probs], state
 
-    def test_majority_aggregation(self):
-        cfg = DetectorConfig(rnn_aggregation="majority")
-        assert not aggregate_sequence_verdict(np.array([0.9, 0.1, 0.1]), cfg).is_malicious
-        assert aggregate_sequence_verdict(np.array([0.9, 0.9, 0.1]), cfg).is_malicious
-        # tie counts malicious
-        assert aggregate_sequence_verdict(np.array([0.9, 0.1]), cfg).is_malicious
+
+class TestRowCountedRun:
+    """A unit covering several rows (a recurrent chunk) adds them all to the
+    run; classify_file is the stream_step fold."""
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=60), st.integers(1, 12),
+           st.integers(1, 40), st.sampled_from([0.3, 0.5, 0.7]), st.booleans())
+    @settings(max_examples=300)
+    def test_classify_file_is_the_stream_step_fold(self, probs, rows, thr, cutoff, latching):
+        cfg = DetectorConfig(prob_cutoff=cutoff, consec_threshold=thr, latching=latching)
+        events, state = fold(probs, cfg, rows)
+        verdict = classify_file(np.array(probs), cfg, rows)
+        first = events.index(EVENT_ALERT) if EVENT_ALERT in events else None
+        assert verdict.alert_row == (None if first is None else (first + 1) * rows - 1)
+        if latching:
+            assert verdict.alert_row == state.alert_row
+        assert state.rows_seen == len(probs) * rows
+
+    def test_a_chunk_can_jump_past_the_threshold(self):
+        cfg = DetectorConfig(consec_threshold=50)
+        # Chunks of 20 rows: the third malicious chunk brings the run to 60.
+        events, state = fold([0.9, 0.1, 0.9, 0.9, 0.9, 0.9], cfg, rows=20)
+        assert events == [EVENT_NONE] * 4 + [EVENT_ALERT, EVENT_STILL_MALICIOUS]
+        assert state.alert_row == 99
+        assert classify_file(np.array([0.9, 0.1, 0.9, 0.9, 0.9]), cfg, 20).alert_row == 99
+
+    def test_threshold_50_is_25_seconds_for_every_unit_size(self):
+        for rows in (1, 2, 5, 10, 25, 50):
+            cfg = DetectorConfig()
+            flags = np.zeros(1000 // rows, dtype=bool)
+            flags[250 // rows:] = True  # onset row 250
+            verdict = classify_file(probs_from_flags(flags), cfg, rows)
+            assert time_to_detect(verdict, 250, cfg) == 25.0
 
     def test_empty_is_benign(self):
-        cfg = DetectorConfig()
-        assert not aggregate_sequence_verdict(np.zeros(0), cfg).is_malicious
+        assert not classify_file(np.zeros(0), DetectorConfig(), 20).is_malicious
 
 
 class TestConfigValidation:

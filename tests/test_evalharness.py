@@ -186,15 +186,15 @@ class TestSweeps:
     def test_threshold_sweep_monotone_flagged_sets(self, micro_traces):
         train, test = micro_traces
         mlp = _trained_micro_models(micro_traces)
-        cfg = DetectorConfig()
         thresholds = list(range(1, 61))
-        from sidewatch.detector import find_alert_row, row_flags
+        from sidewatch.detector import classify_file
         from sidewatch.models import predict_rows
-        flags = [row_flags(predict_rows(mlp, t), cfg) for t in test]
+        probs = [predict_rows(mlp, t) for t in test]
         prev = None
         for thr in thresholds:
-            flagged = {i for i, fl in enumerate(flags)
-                       if find_alert_row(fl, thr) is not None}
+            per = DetectorConfig(consec_threshold=thr)
+            flagged = {i for i, p in enumerate(probs)
+                       if classify_file(p, per).is_malicious}
             if prev is not None:
                 assert flagged <= prev
             prev = flagged
