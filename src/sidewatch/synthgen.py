@@ -20,6 +20,7 @@ added on top of the shared baseline, never woven into it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from .telemetry import (
     MANIFEST_FILENAME,
     TraceMeta,
     Trace,
-    build_manifest,
+    manifest_entry,
+    parse_trace_files,
     render_filename,
     save_manifest,
     write_trace_csv,
@@ -242,6 +244,8 @@ class CorpusSpec:
     def validate(self) -> None:
         if self.num_features < 1:
             raise BadSpecError("num_features must be >= 1")
+        if self.seed < 0:
+            raise BadSpecError(f"seed must be >= 0, got {self.seed}")
         if not (0 < self.duration_s < math.inf and 0 < self.sample_period_s < math.inf):
             raise BadSpecError("duration and sample period must be positive finite numbers")
         if not 0 <= self.difficulty < math.inf:
@@ -256,6 +260,10 @@ class CorpusSpec:
             raise BadSpecError("onset choices must lie inside the trace duration")
         if not self.onset_choices and sum(self.malware_counts.values()):
             raise BadSpecError("malware requested but no onset choices")
+        if self.num_rows < 2:
+            raise BadSpecError(
+                f"duration {self.duration_s}s at sample period {self.sample_period_s}s "
+                f"gives {self.num_rows} rows; a trace needs at least 2")
 
     @property
     def num_rows(self) -> int:
@@ -268,10 +276,35 @@ _SPEC_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def corpus_spec_from_dict(doc: dict) -> CorpusSpec:
+    """The validated CorpusSpec of a decoded JSON spec; a key or value of
+    the wrong name or type is a BadSpecError."""
+    if not isinstance(doc, dict):
+        raise BadSpecError(f"a corpus spec is an object, got {type(doc).__name__}")
     unknown = set(doc) - _SPEC_KEYS
     if unknown:
         raise BadSpecError(f"unknown corpus spec keys: {sorted(unknown)}")
+    for key in ("num_features", "seed"):
+        if key in doc and not _is_int(doc[key]):
+            raise BadSpecError(f"{key} must be an integer, got {doc[key]!r}")
+    for key in ("duration_s", "sample_period_s", "difficulty"):
+        if key in doc and not _is_real(doc[key]):
+            raise BadSpecError(f"{key} must be a number, got {doc[key]!r}")
+    for key in ("benign_counts", "malware_counts"):
+        counts = doc.get(key, {})
+        if not (isinstance(counts, dict) and all(map(_is_int, counts.values()))):
+            raise BadSpecError(f"{key} must map kinds to integer counts, got {counts!r}")
+    onsets = doc.get("onset_choices", [])
+    if not (isinstance(onsets, list) and all(map(_is_real, onsets))):
+        raise BadSpecError(f"onset_choices must be a list of numbers, got {onsets!r}")
     kwargs = dict(doc)
     if "onset_choices" in kwargs:
         kwargs["onset_choices"] = tuple(float(t) for t in kwargs["onset_choices"])
@@ -424,17 +457,13 @@ def _file_seed(spec: CorpusSpec, index: int) -> int:
     return int(np.random.SeedSequence((spec.seed, index)).generate_state(1)[0])
 
 
-def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> Manifest:
-    """Write the whole corpus + manifest; byte-identical per (spec, seed).
+def _corpus_traces(spec: CorpusSpec):
+    """Yield the corpus's traces in file order, each with its file's meta.
 
     Onsets rotate through the configured set within each malware category
     so the split strata stay balanced; each malicious trace runs on a
     benign workload background cycled through the workload kinds.
     """
-    spec.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     index = 0
     for kind in sorted(spec.benign_counts):
         profile = workload_profile(kind, spec.num_features)
@@ -448,8 +477,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> Manifest:
                 onset_s=None,
                 sample_period_s=spec.sample_period_s,
             )
-            trace = generate_benign_trace(profile, spec, seed, meta=meta)
-            write_trace_csv(trace, out_dir / render_filename(meta))
+            yield generate_benign_trace(profile, spec, seed, meta=meta)
             index += 1
 
     workload_cycle = sorted(spec.benign_counts) or ["office"]
@@ -459,7 +487,8 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> Manifest:
             seed = _file_seed(spec, index)
             # Rotate onsets within each category, offset per category so
             # single-sample categories spread across the onset set too.
-            onset = spec.onset_choices[(j + cat_index) % len(spec.onset_choices)]
+            # abs: an onset of -0.0 is named 0, so the meta must hold 0.0.
+            onset = abs(float(spec.onset_choices[(j + cat_index) % len(spec.onset_choices)]))
             workload = workload_profile(workload_cycle[index % len(workload_cycle)],
                                         spec.num_features)
             meta = TraceMeta(
@@ -467,14 +496,36 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> Manifest:
                 os=OS_NAMES[index % len(OS_NAMES)],
                 hardware_id=HW_IDS[index % len(HW_IDS)],
                 category=kind,
-                onset_s=float(onset),
+                onset_s=onset,
                 sample_period_s=spec.sample_period_s,
             )
-            trace = generate_malicious_trace(workload, malware, spec, seed,
-                                             onset_s=float(onset), meta=meta)
-            write_trace_csv(trace, out_dir / render_filename(meta))
+            yield generate_malicious_trace(workload, malware, spec, seed,
+                                           onset_s=onset, meta=meta)
             index += 1
 
-    manifest = build_manifest(out_dir)
+
+def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> Manifest:
+    """Write the whole corpus + manifest; byte-identical per (spec, seed).
+
+    The manifest equals build_manifest(out_dir), but the files written here
+    are indexed from the traces in memory, never read back: only a ``*.csv``
+    that was already in *out_dir* and is not overwritten is parsed, to be
+    indexed or skipped as build_manifest would.
+    """
+    spec.validate()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    manifest = Manifest()
+    for trace in _corpus_traces(spec):
+        name = render_filename(trace.meta)
+        write_trace_csv(trace, out_dir / name)
+        manifest.entries.append(manifest_entry(name, trace))
+
+    written = {e.path for e in manifest.entries}
+    foreign = [(p.name, None) for p in out_dir.glob("*.csv") if p.name not in written]
+    manifest.entries += [manifest_entry(name, trace) for name, trace
+                         in parse_trace_files(out_dir, foreign, manifest.skipped)]
+    manifest.entries.sort(key=lambda e: e.path)
     save_manifest(manifest, out_dir / MANIFEST_FILENAME)
     return manifest

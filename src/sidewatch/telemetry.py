@@ -418,13 +418,6 @@ class RowParser:
             self._prev_label = int(labels[-1])
         return times, features, labels, error
 
-    def parse(self, cells: list[str]) -> SampleRow:
-        """The next data row: parse_rows of one row; a bad row raises its error."""
-        times, features, labels, error = self.parse_rows([cells])
-        if error is not None:
-            raise error
-        return SampleRow(t=float(times[0]), features=features[0], label=int(labels[0]))
-
 
 # The most rows TraceReader gives as one block: it bounds the memory and
 # the work of a block under sidewatch detect --follow.
@@ -662,6 +655,11 @@ def parse_trace_files(root: str | Path, files, skipped: list[tuple[str, str]]):
             yield name, trace
 
 
+def manifest_entry(name: str, trace: Trace) -> ManifestEntry:
+    """The manifest entry of *trace*, stored as the file *name*."""
+    return ManifestEntry(path=name, meta=trace.meta, row_count=trace.num_rows)
+
+
 def build_manifest(directory: str | Path) -> Manifest:
     """Index every parseable ``*.csv`` trace under *directory*.
 
@@ -671,10 +669,8 @@ def build_manifest(directory: str | Path) -> Manifest:
     """
     manifest = Manifest()
     files = [(p.name, None) for p in Path(directory).glob("*.csv")]
-    for name, trace in parse_trace_files(directory, files, manifest.skipped):
-        manifest.entries.append(
-            ManifestEntry(path=name, meta=trace.meta, row_count=trace.num_rows)
-        )
+    manifest.entries = [manifest_entry(name, trace) for name, trace
+                        in parse_trace_files(directory, files, manifest.skipped)]
     return manifest
 
 

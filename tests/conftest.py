@@ -40,6 +40,15 @@ def micro_traces(micro_corpus):
     return train, test
 
 
+def parse_row(parser: telemetry.RowParser, cells: list[str]) -> telemetry.SampleRow:
+    """The parser's next data row, by parse_rows of that one row; a bad row
+    raises its error."""
+    times, features, labels, error = parser.parse_rows([cells])
+    if error is not None:
+        raise error
+    return telemetry.SampleRow(t=float(times[0]), features=features[0], label=int(labels[0]))
+
+
 def random_trace(rng: np.random.Generator, T: int = 12, F: int = 3,
                  category: str = "benign", onset_row: int | None = None,
                  period: float = 0.5) -> telemetry.Trace:

@@ -83,6 +83,35 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"difficulty": "x"}, "difficulty must be a number"),
+        ({"num_features": 2.5}, "num_features must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"malware_counts": {"worm": 1.5}}, "malware_counts must map kinds to integer counts"),
+        ({"onset_choices": ["90"]}, "onset_choices must be a list of numbers"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ])
+    def test_wrong_spec_value_type_is_data_error(self, tmp_path, capsys, doc, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        rc = cli.main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"duration_s": 0.2, "onset_choices": [0.0], "num_features": 4},
+        {"duration_s": 1.0, "sample_period_s": 1.0, "onset_choices": [0.0], "num_features": 4},
+    ])
+    def test_spec_of_fewer_than_two_rows_is_data_error(self, tmp_path, capsys, doc):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        rc = cli.main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert "a trace needs at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_default_spec_is_57_files(self, tmp_path):
         # Table-1 composition at tiny trace sizes for speed.
         spec_path = tmp_path / "spec.json"

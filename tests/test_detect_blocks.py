@@ -22,6 +22,8 @@ from sidewatch.detector import DetectorConfig, StreamState, stream_step
 from sidewatch.errors import RaggedRowError, SidewatchError
 from sidewatch.models import WindowConfig
 
+from conftest import parse_row
+
 F = 3
 HEADER = "time_s,f0,f1,f2,label"
 
@@ -41,7 +43,7 @@ def _reference_rows(source):
             if parser is None:
                 parser = telemetry.RowParser(cells, where=str(source))
                 continue
-            yield index, parser.parse(cells)
+            yield index, parse_row(parser, cells)
             index += 1
 
 

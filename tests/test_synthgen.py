@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sidewatch import synthgen, telemetry
 from sidewatch.errors import BadSpecError
@@ -16,7 +20,7 @@ from sidewatch.synthgen import (
 )
 from sidewatch.telemetry import validate_trace
 
-from conftest import micro_spec
+from conftest import micro_spec, random_trace
 
 
 def small_spec(**overrides):
@@ -205,3 +209,88 @@ class TestCorpus:
         for p in tmp_path.glob("*.csv"):
             meta = telemetry.parse_trace_filename(p.name)
             assert meta.category in telemetry.CATEGORIES
+
+
+# --- the manifest generate_corpus writes ------------------------------------
+
+FOREIGN_FILES = ("valid", "stale", "malformed")
+
+
+def _add_foreign_files(out_dir, which, seed):
+    """Put the named kinds of file that generate_corpus did not write into
+    *out_dir*: a valid trace, the traces of an earlier corpus of another spec
+    (some of their names are rewritten by the spec under test, the others
+    stay), and a ``*.csv`` outside the filename convention. Returns the
+    conventional names the foreign files may leave behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = set()
+    if "valid" in which:
+        trace = random_trace(np.random.default_rng(seed), T=5, category="virus", onset_row=2)
+        name = telemetry.render_filename(trace.meta)
+        telemetry.write_trace_csv(trace, out_dir / name)
+        names.add(name)
+    if "stale" in which:
+        stale = CorpusSpec(benign_counts={"office": 2}, malware_counts={"worm": 2},
+                           num_features=2, duration_s=7.0, sample_period_s=0.7,
+                           onset_choices=(1.4, 3.5), seed=seed + 1)
+        names |= {e.path for e in generate_corpus(stale, out_dir).entries}
+    if "malformed" in which:
+        (out_dir / "notes.csv").write_text("time_s,a,label\r\n0.0,1,0\r\n", encoding="utf-8")
+    return names
+
+
+@st.composite
+def corpus_cases(draw):
+    period = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    duration = draw(st.integers(2, 12)) * period
+    onsets = draw(st.lists(
+        st.one_of(st.integers(0, int(duration - 1e-9)).map(float),
+                  st.floats(0.0, duration, exclude_max=True),
+                  st.just(-0.0)),
+        min_size=1, max_size=3))
+    counts = st.integers(0, 2)
+    return dict(
+        spec=CorpusSpec(
+            benign_counts=draw(st.dictionaries(
+                st.sampled_from(synthgen.WORKLOAD_KINDS), counts, max_size=2)),
+            malware_counts=draw(st.dictionaries(
+                st.sampled_from(telemetry.MALWARE_CATEGORIES), counts, max_size=2)),
+            num_features=draw(st.integers(1, 3)), duration_s=duration,
+            sample_period_s=period, onset_choices=tuple(onsets),
+            seed=draw(st.integers(0, 50)), difficulty=1.0),
+        foreign=draw(st.sets(st.sampled_from(FOREIGN_FILES))),
+    )
+
+
+class TestCorpusManifest:
+    @given(case=corpus_cases())
+    @settings(max_examples=80, deadline=None)
+    @example(case=dict(spec=small_spec(duration_s=3.0, sample_period_s=0.3,
+                                       benign_counts={"office": 1},
+                                       malware_counts={"worm": 2, "virus": 1},
+                                       onset_choices=(-0.0, 1.5, 2.1)),
+                       foreign=set(FOREIGN_FILES)))
+    def test_manifest_equals_build_manifest(self, tmp_path_factory, case):
+        """The manifest indexed from the written traces is byte for byte the
+        one build_manifest reads back from the directory, whatever was in it."""
+        root = tmp_path_factory.mktemp("manifest")
+        out_dir = root / "corpus"
+        _add_foreign_files(out_dir, case["foreign"], case["spec"].seed)
+        manifest = generate_corpus(case["spec"], out_dir)
+        want = telemetry.build_manifest(out_dir)
+        telemetry.save_manifest(want, root / "want.json")
+        assert ((out_dir / telemetry.MANIFEST_FILENAME).read_bytes()
+                == (root / "want.json").read_bytes())
+        assert manifest == want
+
+    @pytest.mark.parametrize("foreign", [(), FOREIGN_FILES])
+    def test_only_foreign_files_are_parsed(self, tmp_path, foreign):
+        spec = micro_spec(seed=25, duration_s=10.0, onset_choices=(2.0, 3.5))
+        written = {e.path for e in generate_corpus(spec, tmp_path / "fresh").entries}
+        names = _add_foreign_files(tmp_path / "corpus", foreign, seed=4)
+        with mock.patch.object(telemetry, "parse_trace_csv",
+                               wraps=telemetry.parse_trace_csv) as spy:
+            generate_corpus(spec, tmp_path / "corpus")
+        parsed = [call.args[0].name for call in spy.call_args_list]
+        assert sorted(parsed) == sorted(names - written)
+        assert bool(parsed) == bool(foreign)

@@ -34,7 +34,7 @@ from sidewatch.telemetry import (
     write_trace_csv,
 )
 
-from conftest import random_trace
+from conftest import parse_row, random_trace
 
 
 class TestFilenames:
@@ -397,14 +397,14 @@ class TestRowParser:
         trace = parse_trace_csv(path)
         reader = csv.reader(io.StringIO(text, newline=""))
         parser = telemetry.RowParser(next(reader))
-        rows = [parser.parse(cells) for cells in reader]
+        rows = [parse_row(parser, cells) for cells in reader]
         assert [r.t for r in rows] == trace.times.tolist()
         assert _same_bits(np.stack([r.features for r in rows]), trace.features)
         assert [r.label for r in rows] == trace.labels.tolist()
 
     def test_without_time_column_uses_default_period(self):
         parser = telemetry.RowParser(["a", "label"])
-        assert [parser.parse(["1", "0"]).t for _ in range(3)] == [0.0, 0.5, 1.0]
+        assert [parse_row(parser, ["1", "0"]).t for _ in range(3)] == [0.0, 0.5, 1.0]
 
     # Each case is the rows of one stream, parsed one call each; the last is bad.
     @pytest.mark.parametrize("cells, error", [
@@ -418,9 +418,9 @@ class TestRowParser:
     def test_bad_rows_rejected(self, cells, error):
         parser = telemetry.RowParser(["time_s", "a", "label"])
         for good in cells[:-1]:
-            parser.parse(good)
+            parse_row(parser, good)
         with pytest.raises(error, match=f"row {len(cells) - 1} "):
-            parser.parse(cells[-1])
+            parse_row(parser, cells[-1])
         assert parser.rows == len(cells) - 1
 
     @given(case=row_parser_cases())
