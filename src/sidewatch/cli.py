@@ -613,24 +613,14 @@ def _config_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
-    """Fold --config file values in as sub-command defaults."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
+def _apply_config_file(parser: _Parser, command: str, path: Path) -> None:
+    """Fold the --config file's values in as *command*'s sub-parser defaults."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SidewatchError(f"{path}: config must be a JSON object")
-    # Find the sub-parser this invocation routes to.
-    command = next((a for a in argv if not a.startswith("-")), None)
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices.get(command) if sub_actions else None
-    if subparser is None:
-        return argv
+    subparser = sub_actions[0].choices[command]
     known = {a.dest for a in subparser._actions}
     unknown = set(doc) - known
     if unknown:
@@ -643,7 +633,6 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         except (argparse.ArgumentTypeError, ValueError) as exc:
             subparser.error(f"{path}: config key {key!r}: {exc}")
     subparser.set_defaults(**converted)
-    return argv
 
 
 def _config_value(action: argparse.Action, value):
@@ -672,8 +661,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # The file's values become defaults, so flags on the line still win.
+            _apply_config_file(parser, args.command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SidewatchError as exc:
         print(f"sidewatch: error: {exc}", file=sys.stderr)

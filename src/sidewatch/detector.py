@@ -49,7 +49,6 @@ class DetectorConfig:
 class DetectionVerdict:
     file_label: str  # "benign" | "malicious"
     alert_row: int | None = None
-    time_to_detect_s: float | None = None
 
     @property
     def is_malicious(self) -> bool:

@@ -45,7 +45,6 @@ from .models import (
     build_mlp,
     build_rnn,
     predict_rows,
-    predict_sequences,
     stream_unit,
     train_model,
     training_data,
@@ -363,12 +362,13 @@ def sweep_sequence_length(
     train_config: TrainConfig,
     cfg: DetectorConfig,
     seed: int = 0,
-    hidden: tuple[int, ...] = (16, 32, 32, 16),
 ) -> list[SeqLenResult]:
     """Chunk, train each recurrent variant, and score per sequence length.
 
-    Files shorter than a length contribute nothing to it; a length no
-    train file reaches raises NoSequences.
+    Each variant's accuracy is evaluate_model's sequence accuracy on the
+    test traces. Files shorter than a length contribute nothing to it; a
+    length no train file reaches raises NoSequences, and one no test file
+    reaches scores NaN.
     """
     unknown = [v for v in variants if v not in RNN_VARIANTS]
     if unknown:
@@ -379,17 +379,15 @@ def sweep_sequence_length(
         train_batch = chunk_sequences(train_traces, L)
         if train_batch.num_sequences == 0:
             raise NoSequencesError(f"no training file has {L} rows")
-        test_batch = chunk_sequences(test_traces, L)
+        reached = any(t.num_rows >= L for t in test_traces)
         accs: dict[str, float] = {}
         for variant in variants:
             cell, bi = RNN_VARIANTS[variant]
-            model = build_rnn(F, cell=cell, bidirectional=bi, hidden=hidden,
-                              seed=seed + point)
+            model = build_rnn(F, cell=cell, bidirectional=bi, seed=seed + point)
             train_model(model, train_batch, replace(train_config, seed=seed + point))
-            if test_batch.num_sequences:
-                probs = predict_sequences(model, test_batch)
-                pred = row_flags(probs, cfg)
-                accs[variant] = float(np.mean(pred == (test_batch.labels == 1)))
+            if reached:
+                section = evaluate_model(model, test_traces, cfg)
+                accs[variant] = compute_metrics(section.seq_confusion).accuracy
             else:
                 accs[variant] = float("nan")
         results.append(SeqLenResult(int(L), int(train_batch.num_sequences), accs))

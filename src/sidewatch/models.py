@@ -427,7 +427,7 @@ def _fit(artifact: ModelArtifact, batches: _Batches, config: TrainConfig):
 
     net = artifact.network
     optimizer = make_optimizer(config.optimizer)
-    scheduler = PlateauScheduler(optimizer, config.optimizer)
+    scheduler = PlateauScheduler(optimizer)
     log: list[TrainLogEntry] = []
     best, best_params, stalled = math.inf, None, 0
     for epoch in range(1, config.max_epochs + 1):

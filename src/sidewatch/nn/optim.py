@@ -1,4 +1,9 @@
-"""Adam and RMSprop with a halve-on-plateau adaptive learning rate."""
+"""Adam and RMSprop with a halve-on-plateau adaptive learning rate.
+
+Their constants are fixed: ADAM_BETA1, ADAM_BETA2 and ADAM_EPS (Adam's
+published defaults, Kingma & Ba 2014), RMSPROP_RHO and RMSPROP_EPS, and
+the plateau schedule's PLATEAU_FACTOR, PLATEAU_PATIENCE and LR_FLOOR.
+"""
 
 from __future__ import annotations
 
@@ -8,38 +13,37 @@ import numpy as np
 
 from ..errors import ShapeMismatchError
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-7
+PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 10
+LR_FLOOR = 1e-5
+
 
 @dataclass
 class OptimizerSpec:
-    """Optimizer kind, learning rate, adaptive-rate policy, and constants.
+    """Optimizer kind and initial learning rate.
 
-    eps defaults per kind (adam 1e-8, rmsprop 1e-7) when left as None.
+    The update and plateau constants are the module's (ADAM_BETA1,
+    ADAM_BETA2, RMSPROP_RHO, PLATEAU_FACTOR, PLATEAU_PATIENCE, LR_FLOOR);
+    resolved_eps is the kind's epsilon (ADAM_EPS or RMSPROP_EPS).
     """
 
     kind: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    rho: float = 0.9
-    eps: float | None = None
-    plateau_factor: float = 0.5
-    plateau_patience: int = 10
-    lr_floor: float = 1e-5
 
     def __post_init__(self):
         if self.kind not in ("adam", "rmsprop"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be > 0")
-        for name, v in (("beta1", self.beta1), ("beta2", self.beta2), ("rho", self.rho)):
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
 
     @property
     def resolved_eps(self) -> float:
-        if self.eps is not None:
-            return self.eps
-        return 1e-8 if self.kind == "adam" else 1e-7
+        return ADAM_EPS if self.kind == "adam" else RMSPROP_EPS
 
 
 class _Optimizer:
@@ -74,7 +78,7 @@ class Adam(_Optimizer):
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self._check(params, grads)
         self.t += 1
-        b1, b2, eps = self.spec.beta1, self.spec.beta2, self.spec.resolved_eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, self.spec.resolved_eps
         for name, p in params.items():
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(p))
@@ -104,7 +108,7 @@ class RMSprop(_Optimizer):
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self._check(params, grads)
-        rho, eps = self.spec.rho, self.spec.resolved_eps
+        rho, eps = RMSPROP_RHO, self.spec.resolved_eps
         for name, p in params.items():
             g = grads[name]
             v = self.v.setdefault(name, np.zeros_like(p))
@@ -122,17 +126,13 @@ def make_optimizer(spec: OptimizerSpec) -> _Optimizer:
 class PlateauScheduler:
     """Halve the optimizer's learning rate when the monitored loss stalls.
 
-    One observe() call per evaluation; after *patience* evaluations with
-    no improvement the rate is multiplied by *factor* (never below
-    *floor*) and the stall counter resets.
+    One observe() call per evaluation; after PLATEAU_PATIENCE evaluations
+    with no improvement the rate is multiplied by PLATEAU_FACTOR (never
+    below LR_FLOOR) and the stall counter resets.
     """
 
-    def __init__(self, optimizer: _Optimizer, spec: OptimizerSpec | None = None):
-        spec = spec or optimizer.spec
+    def __init__(self, optimizer: _Optimizer):
         self.optimizer = optimizer
-        self.factor = spec.plateau_factor
-        self.patience = spec.plateau_patience
-        self.floor = spec.lr_floor
         self.best = np.inf
         self.stalled = 0
 
@@ -142,8 +142,8 @@ class PlateauScheduler:
             self.stalled = 0
             return False
         self.stalled += 1
-        if self.stalled >= self.patience:
-            self.optimizer.lr = max(self.floor, self.optimizer.lr * self.factor)
+        if self.stalled >= PLATEAU_PATIENCE:
+            self.optimizer.lr = max(LR_FLOOR, self.optimizer.lr * PLATEAU_FACTOR)
             self.stalled = 0
             return True
         return False

@@ -160,14 +160,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class TraceSchema:
-    """Column mapping for trace CSV files.
+    """The feature columns a trace CSV file is read from.
 
-    ``feature_cols=None`` selects every column that is neither the time
-    column nor the label column, in header order.
+    The time and label columns are always TIME_COLUMN and LABEL_COLUMN.
+    ``feature_cols=None`` selects every other column, in header order.
     """
 
-    time_col: str = TIME_COLUMN
-    label_col: str = LABEL_COLUMN
     feature_cols: tuple[str, ...] | None = None
 
 
@@ -249,7 +247,7 @@ def _columns(header: list[str], schema: TraceSchema, where: str) -> _Columns:
     if _NOT_UTF8.search(",".join(header)):
         raise UndecodableRowError(f"{where}: header is not UTF-8")
     if schema.feature_cols is None:
-        feature_cols = [c for c in header if c not in (schema.time_col, schema.label_col)]
+        feature_cols = [c for c in header if c not in (TIME_COLUMN, LABEL_COLUMN)]
     else:
         missing = [c for c in schema.feature_cols if c not in header]
         if missing:
@@ -261,8 +259,8 @@ def _columns(header: list[str], schema: TraceSchema, where: str) -> _Columns:
         width=len(header),
         feature_names=feature_cols,
         feature_idx=[header.index(c) for c in feature_cols],
-        time_idx=header.index(schema.time_col) if schema.time_col in header else None,
-        label_idx=header.index(schema.label_col) if schema.label_col in header else None,
+        time_idx=header.index(TIME_COLUMN) if TIME_COLUMN in header else None,
+        label_idx=header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None,
     )
 
 
@@ -495,18 +493,17 @@ class TraceReader:
                 raise error
 
 
-def write_trace_csv(trace: Trace, path: str | Path, schema: TraceSchema | None = None) -> None:
+def write_trace_csv(trace: Trace, path: str | Path) -> None:
     """Write a Trace so that parse_trace_csv reproduces it field-exactly.
 
     Every float is written as its shortest round-tripping decimal (``repr``).
     """
-    schema = schema or TraceSchema()
     path = Path(path)
     times = np.asarray(trace.times, dtype=np.float64).tolist()
     features = np.asarray(trace.features, dtype=np.float64)
     labels = trace.labels.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow([schema.time_col, *trace.header, schema.label_col])
+        csv.writer(fh).writerow([TIME_COLUMN, *trace.header, LABEL_COLUMN])
         # Number cells never need quoting, so rows are joined directly, with
         # csv's default line end; one row at a time keeps memory flat.
         fh.writelines(

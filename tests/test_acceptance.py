@@ -164,7 +164,7 @@ def test_criterion_2_optimizer_sanity():
         steps_used[kind] = step
 
     # rmsprop vs a 3-step hand-unrolled recurrence, exact equality
-    spec = OptimizerSpec(kind="rmsprop", learning_rate=0.01, rho=0.9)
+    spec = OptimizerSpec(kind="rmsprop", learning_rate=0.01)
     opt = RMSprop(spec)
     w = {"w": np.array([0.5])}
     expect, v = 0.5, 0.0

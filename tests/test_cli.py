@@ -7,7 +7,9 @@ import pytest
 from sidewatch import cli, models, telemetry
 from sidewatch.cli import EXIT_ALERT, EXIT_DATA, EXIT_OK, EXIT_USAGE
 from sidewatch.detector import DetectorConfig, classify_file
-from sidewatch.models import TrainConfig, build_mlp, predict_rows, train_model
+from sidewatch.evalharness import compute_metrics, evaluate_model
+from sidewatch.featurize import chunk_sequences
+from sidewatch.models import TrainConfig, build_mlp, build_rnn, predict_rows, train_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -319,6 +321,35 @@ class TestTrainEval:
         assert rc == EXIT_DATA
         assert "no_such_flag" in capsys.readouterr().err
 
+    def test_every_config_spelling_applies_the_file(self, cli_corpus, tmp_path):
+        # argparse takes "--config FILE", "--config=FILE" and the prefix
+        # "--conf FILE" alike; each must fold the file in.
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 1, "hidden": "4"}))
+        runs = []
+        for i, spelling in enumerate((["--config", str(cfg)], [f"--config={cfg}"],
+                                      ["--conf", str(cfg)])):
+            out = tmp_path / f"run{i}"
+            rc = cli.main(["train", *spelling, "--corpus", str(corpus),
+                           "--family", "mlp", "--out", str(out)])
+            assert rc == EXIT_OK, spelling
+            effective = json.loads((out / "effective_config.json").read_text())
+            assert effective.pop("out") == str(out)
+            assert effective["epochs"] == 1 and effective["hidden"] == [4], spelling
+            runs.append((effective, (out / "model.json").read_bytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_config_equals_form_unknown_key_rejected(self, cli_corpus, tmp_path, capsys):
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"no_such_flag": 1}))
+        rc = cli.main(["train", f"--config={cfg}", "--corpus", str(corpus),
+                       "--family", "mlp", "--out", str(tmp_path / "r")])
+        assert rc == EXIT_DATA
+        assert "no_such_flag" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("value", ["0", 0])
     def test_config_value_goes_through_flag_check(self, cli_corpus, tmp_path, capsys, value):
         root, corpus, _ = cli_corpus
@@ -393,6 +424,24 @@ class TestSweepCommand:
         assert rc == EXIT_OK
         lines = (out / "threshold_sweep.txt").read_text().splitlines()
         assert len(lines) == 41  # header + 40
+
+    def test_seqlen_sweep_rows_are_eval_sequence_accuracy(self, micro_corpus, micro_traces,
+                                                          tmp_path):
+        # Each row is the sequence accuracy `eval` gives the model the sweep
+        # trains at that length: point index as seed, the CLI's defaults.
+        root, _, _ = micro_corpus
+        train, test = micro_traces
+        out = tmp_path / "sw"
+        rc = cli.main(["sweep", "seqlen", "--corpus", str(root), "--lengths", "10,40",
+                       "--variants", "rnn_gru", "--epochs", "1", "--out", str(out)])
+        assert rc == EXIT_OK
+        expect = ["# sequence_length\tsequence_accuracy"]
+        for point, L in enumerate((10, 40)):
+            model = build_rnn(train[0].num_features, cell="gru", seed=point)
+            train_model(model, chunk_sequences(train, L), TrainConfig(max_epochs=1, seed=point))
+            section = evaluate_model(model, test, DetectorConfig())
+            expect.append(f"{L}\t{compute_metrics(section.seq_confusion).accuracy!r}")
+        assert (out / "seqlen_sweep_rnn_gru.txt").read_text().splitlines() == expect
 
     def test_threshold_sweep_without_model_is_usage_error(self, tmp_path, capsys):
         # The corpus does not exist: --model must be asked for before it loads.

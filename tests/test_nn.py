@@ -28,6 +28,14 @@ from sidewatch.nn import (
     make_optimizer,
     mse_loss,
 )
+from sidewatch.nn.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    LR_FLOOR,
+    PLATEAU_FACTOR,
+    PLATEAU_PATIENCE,
+    RMSPROP_RHO,
+)
 from sidewatch.nn.layers import _sigmoid
 
 
@@ -219,7 +227,7 @@ class TestOptimizers:
         assert steps <= 500
 
     def test_rmsprop_matches_hand_recurrence(self):
-        spec = OptimizerSpec(kind="rmsprop", learning_rate=0.01, rho=0.9)
+        spec = OptimizerSpec(kind="rmsprop", learning_rate=0.01)
         opt = RMSprop(spec)
         w = {"w": np.array([0.5])}
         grads = [np.array([1.0]), np.array([-2.0]), np.array([0.25])]
@@ -227,7 +235,7 @@ class TestOptimizers:
         expect = 0.5
         v = 0.0
         for g in [1.0, -2.0, 0.25]:
-            v = 0.9 * v + 0.1 * g * g
+            v = RMSPROP_RHO * v + (1.0 - RMSPROP_RHO) * g * g
             expect -= 0.01 * g / (np.sqrt(v) + spec.resolved_eps)
         for g in grads:
             opt.step(w, {"w": g})
@@ -239,7 +247,7 @@ class TestOptimizers:
         # operation; the optimizers reuse buffers and must keep every
         # rounding of this order of operations.
         spec = OptimizerSpec(kind=kind, learning_rate=3e-3)
-        b1, b2, rho, eps = spec.beta1, spec.beta2, spec.rho, spec.resolved_eps
+        b1, b2, rho, eps = ADAM_BETA1, ADAM_BETA2, RMSPROP_RHO, spec.resolved_eps
         rng = np.random.default_rng(50)
         shapes = {"W": (4, 3, 5), "b": (5,), "s": ()}
         params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
@@ -270,33 +278,28 @@ class TestOptimizers:
             opt.step({"w": np.zeros(2)}, {"w": np.zeros(3)})
 
     def test_plateau_halves_after_patience(self):
-        spec = OptimizerSpec(learning_rate=0.4, plateau_factor=0.5,
-                             plateau_patience=3, lr_floor=1e-5)
-        opt = Adam(spec)
-        sched = PlateauScheduler(opt, spec)
+        assert PLATEAU_FACTOR == 0.5
+        opt = Adam(OptimizerSpec(learning_rate=0.4))
+        sched = PlateauScheduler(opt)
         sched.observe(1.0)
-        assert not sched.observe(1.0)
-        assert not sched.observe(1.0)
-        assert sched.observe(1.0)  # third stall: halve
+        for _ in range(PLATEAU_PATIENCE - 1):
+            assert not sched.observe(1.0)
+        assert sched.observe(1.0)  # the patience-th stall: halve
         assert opt.lr == pytest.approx(0.2)
 
     def test_plateau_floor(self):
-        spec = OptimizerSpec(learning_rate=2e-5, plateau_factor=0.5,
-                             plateau_patience=1, lr_floor=1e-5)
-        opt = Adam(spec)
-        sched = PlateauScheduler(opt, spec)
+        opt = Adam(OptimizerSpec(learning_rate=2e-5))
+        sched = PlateauScheduler(opt)
         sched.observe(1.0)
-        for _ in range(10):
+        for _ in range(10 * PLATEAU_PATIENCE):
             sched.observe(1.0)
-        assert opt.lr == 1e-5
+        assert opt.lr == LR_FLOOR == 1e-5
 
     def test_optimizer_spec_validation(self):
         with pytest.raises(ValueError):
             OptimizerSpec(kind="sgd")
         with pytest.raises(ValueError):
             OptimizerSpec(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            OptimizerSpec(beta1=1.0)
 
 
 def _small_nets(rng):
