@@ -14,6 +14,7 @@ reproducible yet independent draws per point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -450,7 +451,8 @@ def report_to_doc(report: EvalReport) -> dict:
         "encoding_curves": report.encoding_curves,
         "sequence_length_results": None if report.seqlen_results is None else [
             {"length": r.length, "training_sequences": r.training_sequences,
-             "accuracy": r.accuracy}
+             # NaN (no test file reaches the length) is not JSON: null.
+             "accuracy": {v: None if math.isnan(a) else a for v, a in r.accuracy.items()}}
             for r in report.seqlen_results
         ],
     }
@@ -498,7 +500,7 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
 
     report_path = out_dir / "report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_doc(report), fh, indent=2, sort_keys=True)
+        json.dump(report_to_doc(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     written.append(report_path)
 

@@ -30,14 +30,15 @@ block plus sliding-window maxima, exactly equivalent to convolving each
 materialized causal window. The recurrent step buffers rows into chunks
 and scores every chunk a block closes in one forward.
 
-Conv training sees the same views. _conv_batches builds each trace's five
-padded branch sample arrays once (_ConvEngine.trace_views). Per minibatch,
-_conv_loss convolves, per branch, each run of positions that the sampled
-rows' windows cover, once however many windows overlap it, and pools
-those windows, keeping each max's position. The head runs
-forward and backward as usual. A max passes gradient to its position alone
-and the conv layers carry no regularizer, so each branch's weight gradient
-is one product of the im2col rows at those positions with their dz.
+Conv training sees the same views. _conv_batches keeps one normalized copy
+of each trace; per minibatch, _conv_loss builds that trace's five padded
+branch sample arrays (_ConvEngine.trace_views) and convolves, per branch,
+each run of positions that the sampled rows' windows cover, once however
+many windows overlap it, and pools those windows, keeping each max's
+position. The head runs forward and backward as usual. A max passes
+gradient to its position alone and the conv layers carry no regularizer,
+so each branch's weight gradient is one product of the im2col rows at
+those positions with their dz.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .nn import (
     evaluate_loss,
     make_optimizer,
 )
-from .nn.layers import activate_grad
+from .nn.layers import activate_grad, kernel_windows
 from .nn.network import data_loss_and_grad
 from .nn.recurrent import CELL_CLASSES, make_cell
 from .telemetry import DEFAULT_SAMPLE_PERIOD_S, Trace
@@ -436,6 +437,7 @@ def _fit(artifact: ModelArtifact, batches: _Batches, config: TrainConfig):
         for xs, targets in batches.train(order, rng):
             loss, grads = evaluate(net, xs, targets, batches.loss, mode="train", rng=rng)
             optimizer.step(net.params(), grads)
+            del grads  # not alive through the next minibatch's loss
             losses.append(loss)
         train_loss = float(np.mean(losses))
         if not math.isfinite(train_loss):
@@ -549,19 +551,20 @@ def _sample_training_rows(labels: np.ndarray, count: int, rng: np.random.Generat
 
 
 class _TraceBatch(NamedTuple):
-    """A conv minibatch: one trace's five padded branch sample arrays
-    (_ConvEngine.trace_views), each branch's decimation factor and lookback
-    window, and the trace rows sampled for this minibatch."""
+    """A conv minibatch: one trace's normalized rows, the _ConvEngine whose
+    branch views (trace_views) _conv_loss convolves, and the trace rows
+    sampled for this minibatch. The views are built per minibatch, so only
+    the trace being scored has them."""
 
-    samples: list[np.ndarray]
-    factors: tuple[int, ...]
-    wins: tuple[int, ...]
+    x: np.ndarray
+    engine: _ConvEngine
     rows: np.ndarray | None = None
 
 
 def _conv_batches(artifact: ModelArtifact, traces: list[Trace], config: TrainConfig) -> _Batches:
     """One minibatch per trace: config.rows_per_trace sampled rows, scored
-    by _conv_loss through the trace's branch views, built once."""
+    by _conv_loss through the trace's branch views. The fit keeps one
+    normalized copy of each trace; the views are built per minibatch."""
     if not traces:
         raise NoDataError("no training traces")
     if any(branch.layers[0].reg != Regularizer() for branch in artifact.network.branches):
@@ -569,11 +572,9 @@ def _conv_batches(artifact: ModelArtifact, traces: list[Trace], config: TrainCon
                             "their gradient at the pooled argmax positions only")
     encoded = [_encoded_rows(artifact, t.features) for t in traces]
     _fit_norm_if_missing(artifact, np.vstack(encoded))
-    prepared = []
-    for rows, t in zip(encoded, traces):
-        engine = _ConvEngine(artifact, t.meta.sample_period_s)
-        views = engine.trace_views(zscore_apply(artifact.norm, rows))
-        prepared.append((_TraceBatch(views, engine.factors, engine.wins), t.labels))
+    prepared = [(_TraceBatch(zscore_apply(artifact.norm, rows),
+                             _ConvEngine(artifact, t.meta.sample_period_s)), t.labels)
+                for rows, t in zip(encoded, traces)]
 
     def train(order, rng):
         for ti in order:
@@ -619,8 +620,10 @@ def _conv_loss(net: MultiBranch, batch: _TraceBatch, targets, loss_kind: str,
     materialized windows, up to float rounding.
     """
     convs = [branch.layers[0] for branch in net.branches]
+    engine = batch.engine
+    samples = engine.trace_views(batch.x)
     pools = [_pooled_at(conv, x, win - conv.kernel_size + 1, batch.rows // factor)
-             for conv, x, factor, win in zip(convs, batch.samples, batch.factors, batch.wins)]
+             for conv, x, factor, win in zip(convs, samples, engine.factors, engine.wins)]
     y, head_caches = net.head.forward(np.concatenate([p for p, _ in pools], axis=1),
                                       mode=mode, rng=rng)
     loss, gy = data_loss_and_grad(y, targets, loss_kind)
@@ -630,15 +633,14 @@ def _conv_loss(net: MultiBranch, batch: _TraceBatch, targets, loss_kind: str,
     gjoined, head_grads = net.head.backward(head_caches, gy)
     grads = {f"head.{name}": g for name, g in head_grads.items()}
     offset = 0
-    for i, (conv, x, (pooled, at)) in enumerate(zip(convs, batch.samples, pools)):
+    for i, (conv, x, (pooled, at)) in enumerate(zip(convs, samples, pools)):
         nf, k = conv.filters, conv.kernel_size
         dz = gjoined[:, offset:offset + nf] * activate_grad(conv.activation, pooled)
         offset += nf
         positions, slot = np.unique(at.reshape(-1), return_inverse=True)
         dz_at = np.bincount(slot * nf + np.arange(at.size) % nf, dz.reshape(-1),
                             len(positions) * nf).reshape(-1, nf)
-        windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=0)[positions]
-        cols = windows.transpose(0, 2, 1).reshape(len(positions), k * x.shape[1])
+        cols = kernel_windows(x, k)[positions]  # the im2col rows at those positions
         grads[f"branch{i}.0.W"] = (cols.T @ dz_at).reshape(conv.W.shape)
         grads[f"branch{i}.0.b"] = dz.sum(axis=0)
     return total, grads

@@ -21,6 +21,10 @@ import numpy as np
 
 from ..errors import KernelTooLongError, ShapeMismatchError, StaleCacheError
 
+# Most conv positions one infer-mode im2col piece holds: 8.7 MB at the
+# default branch's k*C = 32*132.
+CHUNK = 256
+
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -63,6 +67,19 @@ class Regularizer:
     l1: float = 0.0
     l2: float = 0.0
     activity_l2: float = 0.0
+
+
+def kernel_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """The im2col rows of a C-contiguous [..., T, C] *x* as a read-only view
+    [..., T-k+1, k*C]: row p is x[p:p+k].ravel(), the kernel-major layout of
+    a Conv1D kernel W.reshape(k*C, filters). Window rows are contiguous, so
+    the view costs nothing, but its rows overlap in memory: a GEMM takes a
+    contiguous copy of the rows it needs."""
+    *lead, T, C = x.shape
+    if not x.flags.c_contiguous:
+        raise ShapeMismatchError(f"kernel windows need a C-contiguous input, got strides {x.strides}")
+    return np.lib.stride_tricks.as_strided(x, (*lead, T - k + 1, k * C), x.strides,
+                                           writeable=False)
 
 
 def _promote(x: np.ndarray, rank: int, what: str) -> tuple[np.ndarray, bool]:
@@ -170,7 +187,12 @@ class Dense(_Kernel):
 
 
 class Conv1D(_Kernel):
-    """Valid cross-correlation along time, then activation."""
+    """Valid cross-correlation along time, then activation.
+
+    Train mode keeps the whole [B, P, k*C] im2col for backward; infer mode
+    builds it in pieces of at most CHUNK positions, with the same output
+    bit for bit.
+    """
 
     def __init__(
         self,
@@ -187,21 +209,6 @@ class Conv1D(_Kernel):
         self.filters = filters
         self.kernel_size = kernel_size
 
-    def _cols(self, xb: np.ndarray) -> np.ndarray:
-        # [B, T, C] -> [B, P, k*C] with kernel-major flattening to match W.
-        # The reshape of the sliding view would stay an overlapping view
-        # (window rows are contiguous), which matmul cannot hand to BLAS;
-        # materializing it buys a ~10x faster GEMM for one extra copy.
-        k = self.kernel_size
-        if xb.shape[1] == k:
-            # One position (a live stream's step): the kernel-major row is
-            # the input's own row-major layout.
-            return xb.reshape(xb.shape[0], 1, k * xb.shape[2])
-        sw = np.lib.stride_tricks.sliding_window_view(xb, k, axis=1)  # [B, P, C, k]
-        cols = sw.transpose(0, 1, 3, 2).reshape(
-            xb.shape[0], xb.shape[1] - k + 1, k * xb.shape[2])
-        return np.ascontiguousarray(cols)
-
     def forward(self, x, mode: str = "infer", rng: np.random.Generator | None = None):
         xb, squeezed = _promote(x, 2, "Conv1D input")
         B, T, C = xb.shape
@@ -209,9 +216,28 @@ class Conv1D(_Kernel):
             raise ShapeMismatchError(f"Conv1D expects {self.in_channels} channels, got {C}")
         if T < self.kernel_size:
             raise KernelTooLongError(f"kernel {self.kernel_size} > input length {T}")
-        cols = self._cols(xb)
-        Wm = self.W.reshape(self.kernel_size * self.in_channels, self.filters)
-        z = cols @ Wm
+        k, P = self.kernel_size, T - self.kernel_size + 1
+        xb = np.ascontiguousarray(xb)
+        Wm = self.W.reshape(k * C, self.filters)
+        if mode == "train" or P <= CHUNK:
+            # One GEMM over the whole im2col copy, which backward reads. One
+            # position (a live stream's step) is the input's own layout;
+            # the window view would hand matmul a stride BLAS refuses.
+            cols = (xb.reshape(B, 1, k * C) if P == 1
+                    else np.ascontiguousarray(kernel_windows(xb, k)))
+            z = cols @ Wm
+        else:
+            # Infer mode: im2col in near-equal pieces of at most CHUNK
+            # positions, never a short tail (the rows of a GEMM of a few
+            # rows can round differently), so memory is bounded by a piece.
+            cols = None
+            windows = kernel_windows(xb, k)
+            z = np.empty((B, P, self.filters))
+            n = -(-P // CHUNK)
+            cuts = [P * i // n for i in range(n + 1)]
+            for b in range(B):
+                for lo, hi in zip(cuts, cuts[1:]):
+                    np.matmul(np.ascontiguousarray(windows[b, lo:hi]), Wm, out=z[b, lo:hi])
         z += self.b
         y = activate(self.activation, z)
         cache = {"layer": self, "cols": cols, "y": y, "squeezed": squeezed, "T": T}
@@ -220,6 +246,9 @@ class Conv1D(_Kernel):
     def backward(self, cache: dict, gy, need_input_grad: bool = True):
         self._check_cache(cache)
         cols, T = cache["cols"], cache["T"]
+        if cols is None:
+            raise StaleCacheError(f"an infer-mode forward over more than {CHUNK} positions "
+                                  "keeps no im2col to differentiate; use train mode")
         dz = self._dz(cache, gy)  # [B, P, filters]
         B, P, _ = dz.shape
         k, C = self.kernel_size, self.in_channels

@@ -3,7 +3,8 @@ every sidewatch name the benchmark's stages use still exists, every call
 they make to sidewatch still binds to its signature, and every flag they
 pass to `sidewatch` is still accepted, so deleting, renaming or
 re-signing one fails here rather than in a benchmark run; the recurrent
-spans still record each layer call."""
+spans still record each layer call and the conv meters still read a
+real Conv1D call and cache."""
 
 import argparse
 import ast
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from sidewatch import cli
-from sidewatch.nn import GRU, Bidirectional, Sequential
+from sidewatch.nn import GRU, Bidirectional, Conv1D, Dense, GlobalMaxPool1D, Sequential
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -198,3 +199,25 @@ def test_traced_recurrent_spans_fire_once_per_layer_call():
               for key in ("nn.GRU.forward", "nn.GRU.backward",
                           "nn.LSTM.forward", "nn.LSTM.backward")}
     assert counts == dict.fromkeys(counts, 2)
+
+
+def test_conv_meters_read_a_real_conv_call_and_cache():
+    # The meters read the input's shape and the train-mode cache's im2col
+    # ("cols"); a change to either would break a traced run (--trace 1).
+    rng = np.random.default_rng(1)
+    conv = Conv1D(3, 4, 5, "tanh", rng=rng)
+    net = Sequential([conv, GlobalMaxPool1D(), Dense(4, 1, "sigmoid", rng=rng)])
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        for x in (rng.normal(size=(12, 3)), rng.normal(size=(2, 12, 3))):
+            y, caches = net.forward(x, mode="train")
+            net.backward(caches, np.ones_like(y), need_input_grad=False)
+            y, cache = conv.forward(x, mode="train")
+            conv.backward(cache, np.ones_like(y))
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s.key.startswith("nn.Conv1D.")]
+    assert sorted({s.key for s in spans}) == ["nn.Conv1D.backward", "nn.Conv1D.forward"]
+    assert len(spans) == 8
+    assert all(np.isfinite(s.flop) and s.flop > 0 and np.isfinite(s.nbytes) for s in spans)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sidewatch.errors import (
 from sidewatch.evalharness import (
     ConfusionCounts,
     EvalReport,
+    SeqLenResult,
     compute_metrics,
     emit_report,
     evaluate_model,
@@ -278,6 +281,22 @@ class TestReportEmission:
         emit_report(report, tmp_path)
         lines = (tmp_path / "threshold_sweep.txt").read_text().splitlines()
         assert len(lines) == len(thresholds) + 1  # header + one per threshold
+
+    def test_report_of_an_unreached_length_is_strict_json(self, tmp_path):
+        # A length no test file reaches scores NaN: report.json gives null
+        # for it, and its curve file keeps nan.
+        report = EvalReport(seqlen_results=[
+            SeqLenResult(5, 12, {"rnn_gru": 0.75}), SeqLenResult(10, 5, {"rnn_gru": float("nan")})])
+        emit_report(report, tmp_path)
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+        assert [r["accuracy"] for r in doc["sequence_length_results"]] == [
+            {"rnn_gru": 0.75}, {"rnn_gru": None}]
+        lines = (tmp_path / "seqlen_sweep_rnn_gru.txt").read_text().splitlines()
+        assert lines[1:] == ["5\t0.75", "10\tnan"]
 
     def test_summary_has_one_row_per_model(self, micro_traces):
         train, test = micro_traces

@@ -732,6 +732,22 @@ class TestConvEngine:
                                    models._ConvEngine(m, 0.5).step_block(rows), rtol=0, atol=1e-9)
 
 
+def test_predict_rows_memory_is_bounded_by_an_im2col_piece():
+    # A whole-trace im2col of this conv is T x k*F floats, 41 MB; infer mode
+    # takes it CHUNK positions at a time.
+    T = 20_000
+    trace = random_trace(np.random.default_rng(62), T=T, F=8)
+    m = build_conv_multibranch(8, filters=4, kernel=32, dense_units=4, seed=0)
+    m.norm = featurize.zscore_fit(trace.features)
+    tracemalloc.start()
+    try:
+        predict_rows(m, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
+
+
 class TestConvTraining:
     """Conv training through whole-trace branch views (models._conv_loss)."""
 
@@ -810,6 +826,29 @@ class TestConvTraining:
         batch, targets = next(batches.train(np.array([0]), rng))
         batches.evaluate(m.network, batch, targets, batches.loss, mode="train", rng=rng)
         assert sum(lengths) <= rows * (3 * (16 - 4 + 1) + 2 * (8 - 4 + 1))
+
+    def test_fit_memory_grows_by_one_normalized_copy_per_trace(self):
+        # The fit keeps one normalized copy of each trace and builds the
+        # five branch views only for the trace being scored, so an extra
+        # trace adds about one copy to the peak (three at the full-rate
+        # views kept per trace before).
+        T, F = 20_000, 8
+        rng = np.random.default_rng(60)
+        traces = [random_trace(rng, T=T, F=F, category="worm", onset_row=T // 2)
+                  for _ in range(6)]
+
+        def peak(n):
+            m = build_conv_multibranch(F, filters=4, kernel=8, dense_units=4,
+                                       window=WindowConfig(16, 8), seed=0)
+            tracemalloc.start()
+            try:
+                train_model(m, traces[:n], TrainConfig(max_epochs=1, rows_per_trace=8))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        copy = T * F * 8
+        assert peak(6) - peak(1) <= 5 * 1.5 * copy
 
     def test_no_row_windows_are_built(self, monkeypatch):
         def refuse(*args, **kwargs):

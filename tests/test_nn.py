@@ -31,12 +31,13 @@ from sidewatch.nn import (
 from sidewatch.nn.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
+    BLOCK,
     LR_FLOOR,
     PLATEAU_FACTOR,
     PLATEAU_PATIENCE,
     RMSPROP_RHO,
 )
-from sidewatch.nn.layers import _sigmoid
+from sidewatch.nn.layers import CHUNK, _sigmoid
 
 
 class TestForwardOracles:
@@ -140,8 +141,8 @@ def _im2col_conv(layer: Conv1D, x: np.ndarray) -> np.ndarray:
 
 
 class TestConv1DOnePosition:
-    """An input exactly one kernel long (a live stream's step) skips the
-    sliding-window view; the output must not change by a bit."""
+    """An input exactly one kernel long (a live stream's step) is its own
+    im2col row, taken without a copy; the output must not change by a bit."""
 
     @pytest.mark.parametrize("k,C,filters,B", [
         (1, 1, 1, 1), (2, 3, 4, 2), (4, 7, 5, 3), (32, 132, 64, 1), (32, 132, 64, 4)])
@@ -162,6 +163,32 @@ class TestConv1DOnePosition:
         net = Sequential([Conv1D(2, 3, 4, "tanh", rng=rng), GlobalMaxPool1D(),
                           Dense(3, 1, "sigmoid", rng=rng)])
         assert grad_check(net, rng.normal(size=(4, 2)), 1.0) <= 1e-5
+
+
+class TestConv1DPieces:
+    """Infer mode takes the im2col in pieces of at most CHUNK positions;
+    train mode takes all of it at once, for backward."""
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("P", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
+                                   4 * CHUNK + 3])
+    def test_piecewise_forward_is_the_whole_forward_bit_for_bit(self, P, B):
+        rng = np.random.default_rng(P * 10 + B)
+        layer = Conv1D(6, 5, 4, "tanh", rng=rng)
+        layer.b[...] = rng.normal(size=5)
+        x = rng.normal(size=(B, P + 3, 6))
+        whole, cache = layer.forward(x, mode="train")
+        assert cache["cols"].shape == (B, P, 24)
+        y, _ = layer.forward(x, mode="infer")
+        assert y.tobytes() == whole.tobytes()
+        y, _ = layer.forward(x[-1], mode="infer")
+        assert y.tobytes() == whole[-1].tobytes()
+
+    def test_infer_cache_of_a_long_input_refuses_backward(self):
+        layer = Conv1D(2, 3, 4, rng=np.random.default_rng(22))
+        y, cache = layer.forward(np.zeros((CHUNK + 4, 2)), mode="infer")
+        with pytest.raises(StaleCacheError, match="train mode"):
+            layer.backward(cache, np.ones_like(y))
 
 
 class TestLosses:
@@ -249,7 +276,8 @@ class TestOptimizers:
         spec = OptimizerSpec(kind=kind, learning_rate=3e-3)
         b1, b2, rho, eps = ADAM_BETA1, ADAM_BETA2, RMSPROP_RHO, spec.resolved_eps
         rng = np.random.default_rng(50)
-        shapes = {"W": (4, 3, 5), "b": (5,), "s": ()}
+        # A parameter of more than two optimizer blocks, with a ragged tail.
+        shapes = {"W": (4, 3, 5), "b": (5,), "s": (), "big": (2, BLOCK + 7)}
         params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
         expect = {k: p.copy() for k, p in params.items()}
         m = {k: np.zeros(shape) for k, shape in shapes.items()}
@@ -276,6 +304,13 @@ class TestOptimizers:
         opt = Adam(OptimizerSpec())
         with pytest.raises(ShapeMismatchError):
             opt.step({"w": np.zeros(2)}, {"w": np.zeros(3)})
+
+    @pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+    def test_non_contiguous_parameter_is_refused(self, kind):
+        # Its flattened blocks would be a copy, so the update would be lost.
+        w = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ShapeMismatchError, match="C-contiguous"):
+            make_optimizer(OptimizerSpec(kind=kind)).step({"w": w}, {"w": np.ones_like(w)})
 
     def test_plateau_halves_after_patience(self):
         assert PLATEAU_FACTOR == 0.5
