@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -27,7 +29,7 @@ from .detector import DetectorConfig, StreamState, stream_step
 from .errors import SidewatchError
 from .models import TrainConfig
 from .nn import OptimizerSpec
-from .telemetry import DEFAULT_SAMPLE_PERIOD_S, MANIFEST_FILENAME, TraceSchema
+from .telemetry import MANIFEST_FILENAME
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,10 +175,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_generate(args) -> int:
-    doc = {}
-    if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = {} if args.spec is None else telemetry.read_json_object(args.spec, "corpus spec")
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.difficulty is not None:
@@ -189,7 +188,7 @@ def _cmd_generate(args) -> int:
     out = args.out or _default_out("generate", spec.seed)
     manifest = synthgen.generate_corpus(spec, out)
     with open(Path(out) / "corpus_spec.json", "w", encoding="utf-8") as fh:
-        json.dump(synthgen.corpus_spec_to_dict(spec), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_effective_config(args, Path(out), "generate")
     n_mal = sum(1 for e in manifest.entries if e.meta.is_malicious)
@@ -362,13 +361,7 @@ _CHECKPOINT_FIELDS = {**_STATE_FIELDS, "source_rows_read": int}
 
 def _read_checkpoint(path) -> dict:
     """The saved stream state; a file that does not hold one is a data error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise SidewatchError(f"{path}: not a detect checkpoint ({exc})") from None
-    if not isinstance(saved, dict):
-        raise SidewatchError(f"{path}: not a detect checkpoint (not a JSON object)")
+    saved = telemetry.read_json_object(path, "detect checkpoint")
     bad = [key for key, kind in _CHECKPOINT_FIELDS.items()
            if key not in saved or not isinstance(saved[key], kind)]
     if bad:
@@ -408,7 +401,7 @@ def _cmd_detect(args) -> int:
     with contextlib.nullcontext(sys.stdin.buffer) if stdin else open(args.source, "rb") as fh:
         events_fh = open(args.events, "a", encoding="utf-8") if args.events else sys.stdout
         try:
-            reader = telemetry.TraceReader(fh, args.source, TraceSchema(), DEFAULT_SAMPLE_PERIOD_S)
+            reader = telemetry.TraceReader(fh, args.source)
             for first, times, features, _ in reader.blocks(wait=args.follow and not stdin,
                                                            drain=not stdin):
                 # Rows before the checkpoint still replay through the predictor
@@ -613,14 +606,15 @@ def _config_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _subparsers(parser: _Parser) -> dict[str, _Parser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _apply_config_file(parser: _Parser, command: str, path: Path) -> None:
-    """Fold the --config file's values in as *command*'s sub-parser defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SidewatchError(f"{path}: config must be a JSON object")
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices[command]
+    """Fold the --config file's values in as *command*'s sub-parser
+    defaults; a flag the file gives is no longer required on the line."""
+    doc = telemetry.read_json_object(path, "config file")
+    subparser = _subparsers(parser)[command]
     known = {a.dest for a in subparser._actions}
     unknown = set(doc) - known
     if unknown:
@@ -632,6 +626,7 @@ def _apply_config_file(parser: _Parser, command: str, path: Path) -> None:
             converted[key] = _config_value(action, value)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             subparser.error(f"{path}: config key {key!r}: {exc}")
+        action.required = False
     subparser.set_defaults(**converted)
 
 
@@ -657,15 +652,34 @@ def _config_value(action: argparse.Action, value):
     return checked if repeatable else checked[0]
 
 
+def _parse_without_required(parser: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """*argv* parsed as though no flag were required, to find its --config
+    file by argparse's own rules (--config=FILE, or a unique prefix such as
+    --conf) before the file gives a required flag. The pass is silent: when
+    it fails or asks for help it gives None, and the full parse reports."""
+    required = [a for sub in _subparsers(parser).values() for a in sub._actions
+                if a.required and a.option_strings]
+    for action in required:
+        action.required = False
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return parser.parse_args(argv)
+    except SystemExit:
+        return None
+    finally:
+        for action in required:
+            action.required = True
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
+        found = _parse_without_required(parser, argv)
+        if found is not None and found.config is not None:
             # The file's values become defaults, so flags on the line still win.
-            _apply_config_file(parser, args.command, args.config)
-            args = parser.parse_args(argv)
+            _apply_config_file(parser, found.command, found.config)
+        args = parser.parse_args(argv)
         return args.func(args)
     except SidewatchError as exc:
         print(f"sidewatch: error: {exc}", file=sys.stderr)

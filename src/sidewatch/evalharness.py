@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     InsufficientStratumError,
     NoSequencesError,
 )
-from .featurize import chunk_sequences
+from .featurize import chunk_sequences, unit_labels
 from .models import (
     ModelArtifact,
     RNN_VARIANTS,
@@ -208,8 +208,6 @@ class EvalSection:
         """The FPR/FNR at this family's reporting granularity."""
         if self.granularity == "row" and self.row_confusion is not None:
             return compute_metrics(self.row_confusion)
-        if self.granularity == "sequence" and self.seq_confusion is not None:
-            return compute_metrics(self.seq_confusion)
         return compute_metrics(self.file_confusion)
 
 
@@ -238,14 +236,6 @@ def _file_result(trace: Trace, verdict: DetectionVerdict, cfg: DetectorConfig) -
     )
 
 
-def _unit_truths(labels: np.ndarray, closes: np.ndarray) -> np.ndarray:
-    """The truth of each unit, by the rows *closes* that close them: the
-    majority label (featurize.chunk_label, ties malicious) of the rows
-    since the previous unit, from one cumulative sum."""
-    malicious = np.diff(np.cumsum(labels)[closes], prepend=0)
-    return 2 * malicious >= np.diff(closes, prepend=-1)
-
-
 def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
                    cfg: DetectorConfig, label: str | None = None) -> EvalSection:
     """Unit and file confusion plus per-file verdicts and detection times.
@@ -254,7 +244,7 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
     trace as one block, the scorer `detect` runs. A unit is a row that gets
     a probability: every row of a row family, the row closing each chunk
     of sequence_length rows of a sequence family. Its truth is the
-    majority label of the rows it closes (_unit_truths). Test order is
+    majority label of the rows it closes (featurize.unit_labels). Test order is
     fixed (name-sorted); a file with no unit (one shorter than the
     sequence length) is not evaluated. The file verdict is classify_file
     over the units, each covering its rows, as `detect` folds them.
@@ -274,7 +264,7 @@ def evaluate_model(artifact: ModelArtifact, traces: list[Trace],
         if not closes.size:
             continue
         probs = np.array([scored[i] for i in closes])
-        unit_conf = unit_conf.add(row_flags(probs, cfg), _unit_truths(trace.labels, closes))
+        unit_conf = unit_conf.add(row_flags(probs, cfg), unit_labels(trace.labels, closes))
         verdict = classify_file(probs, cfg, predictor.unit_rows)
         file_conf = file_conf.add([verdict.is_malicious], [trace.meta.is_malicious])
         files.append(_file_result(trace, verdict, cfg))
@@ -304,7 +294,6 @@ def sweep_threshold(artifact: ModelArtifact, traces: list[Trace],
     a file is flagged at a threshold its longest malicious run reaches."""
     if any(t < 1 for t in thresholds):
         raise ValueError("thresholds must be positive")
-    traces = sorted(traces, key=lambda t: (t.meta.subject_name, t.meta.category))
     longest = np.array([malicious_runs(predict_rows(artifact, t), cfg).max(initial=0)
                         for t in traces])
     truths = np.array([t.meta.is_malicious for t in traces])
@@ -410,7 +399,7 @@ class EvalReport:
 def _counts_doc(c: ConfusionCounts | None):
     if c is None:
         return None
-    doc = {"granularity": c.granularity, "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
+    doc = asdict(c)
     if c.total:
         m = compute_metrics(c)
         doc.update({"accuracy": m.accuracy, "fpr": m.fpr, "fnr": m.fnr})
@@ -427,17 +416,7 @@ def _section_doc(s: EvalSection) -> dict:
         "sequence_confusion": _counts_doc(s.seq_confusion),
         "files_evaluated": s.files_evaluated,
         "mean_time_to_detect_s": s.mean_ttd_s,
-        "files": [
-            {
-                "name": f.name,
-                "truth": f.truth,
-                "verdict": f.verdict,
-                "alert_row": f.alert_row,
-                "time_to_detect_s": f.time_to_detect_s,
-                "alert_before_onset": f.alert_before_onset,
-            }
-            for f in s.files
-        ],
+        "files": [asdict(f) for f in s.files],
     }
 
 

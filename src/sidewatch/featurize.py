@@ -217,31 +217,29 @@ class SequenceBatch:
         return int(self.sequences.shape[0])
 
 
-def chunk_label(row_labels: np.ndarray) -> int:
-    """Majority vote of the chunk's row labels; ties count as malicious."""
-    return 1 if 2 * int(np.sum(row_labels)) >= row_labels.shape[0] else 0
+def unit_labels(labels: np.ndarray, closes: np.ndarray) -> np.ndarray:
+    """The label of each unit of a trace's rows, given *closes*, the
+    increasing indices of the rows that close the units: the majority label
+    of the rows since the previous unit closed, ties malicious, as int64."""
+    malicious = np.diff(np.cumsum(labels)[closes], prepend=0)
+    return (2 * malicious >= np.diff(closes, prepend=-1)).astype(np.int64)
 
 
 def chunk_sequences(traces: list[Trace], length: int) -> SequenceBatch:
-    """Break traces into non-overlapping length-L chunks starting at row 0.
+    """Break traces into non-overlapping length-L chunks starting at row 0,
+    each labeled by the majority of its rows (unit_labels, the rule eval
+    scores chunks by).
 
     Remainder rows are dropped; traces shorter than L contribute nothing.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    seqs: list[np.ndarray] = []
-    labels: list[int] = []
     F = traces[0].num_features if traces else 0
+    seqs, labels = [np.zeros((0, length, F))], [np.zeros(0, dtype=np.int64)]
     for trace in traces:
         if trace.num_features != F:
             raise ValueError("all traces must share the same feature count")
         n = trace.num_rows // length
-        for k in range(n):
-            lo, hi = k * length, (k + 1) * length
-            seqs.append(trace.features[lo:hi])
-            labels.append(chunk_label(trace.labels[lo:hi]))
-    if seqs:
-        sequences = np.stack(seqs).astype(np.float64)
-    else:
-        sequences = np.zeros((0, length, F), dtype=np.float64)
-    return SequenceBatch(sequences=sequences, labels=np.asarray(labels, dtype=np.int64))
+        seqs.append(trace.features[:n * length].reshape(n, length, F))
+        labels.append(unit_labels(trace.labels, np.arange(length - 1, n * length, length)))
+    return SequenceBatch(sequences=np.concatenate(seqs), labels=np.concatenate(labels))

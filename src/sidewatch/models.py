@@ -24,11 +24,12 @@ epoch loop (_fit); every family that can stream is scored by one
 RowStreamPredictor, stepped by a whole trace (predict_rows, evaluate_model)
 or by the blocks of a live stream (detect).
 
-The conv step slides the causal lookback windows over the branch views
-through one stateful engine (_ConvEngine): one convolution per branch and
-block plus sliding-window maxima, exactly equivalent to convolving each
-materialized causal window. The recurrent step buffers rows into chunks
-and scores every chunk a block closes in one forward.
+The conv step is one stateful engine (_ConvEngine), which keeps its own
+period (the gap between a stream's first two timestamps) and slides the
+causal lookback windows over the branch views: one convolution per branch
+and block plus sliding-window maxima, exactly equivalent to convolving
+each materialized causal window. The recurrent step buffers rows into
+chunks and scores every chunk a block closes in one forward.
 
 Conv training sees the same views. _conv_batches keeps one normalized copy
 of each trace; per minibatch, _conv_loss builds that trace's five padded
@@ -48,7 +49,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -744,21 +745,36 @@ class _ConvEngine:
     smoothed views are rolling means over the kept last w_long - 1 rows plus
     the block. Any split of a series into blocks gives the same
     probabilities as one block, up to float rounding, from bounded state.
+
+    Called as a row stream's block step (_Family.step), it scores row 1 on
+    at the gap between the stream's first two timestamps, the period
+    parse_trace_csv gives a file (row 0 scores the same at any period);
+    bare rows keep *period*.
     """
 
-    def __init__(self, artifact: ModelArtifact, period: float):
+    def __init__(self, artifact: ModelArtifact, period: float = DEFAULT_SAMPLE_PERIOD_S):
         net: MultiBranch = artifact.network
         w = artifact.window
         self.convs = [b.layers[0] for b in net.branches]
         self.wins = (w.raw_window,) * 3 + (w.down_window,) * 2
         self.head = net.head
-        self.set_period(period)
+        self._set_period(period)
         self.seen = 0
 
-    def set_period(self, period: float) -> None:
-        """Step the rows from now on with *period*'s branch geometry."""
+    def _set_period(self, period: float) -> None:
         self.w_short, self.w_long, f_mid, f_long = featurize.branch_geometry(period)
         self.factors = (1, 1, 1, f_mid, f_long)
+
+    def __call__(self, x: np.ndarray, times) -> list[float]:
+        if not self.seen:
+            self.t0 = None if times is None else times[0]
+        if self.seen < 2 <= self.seen + len(x) and times is not None and self.t0 is not None:
+            t = times[1 - self.seen]
+            period = float(t) - float(self.t0)
+            if period <= 0:
+                raise NonMonotonicTimeError(f"time does not increase at row 1 ({self.t0} -> {t})")
+            self._set_period(period)
+        return self.step_block(x).tolist()
 
     def step_block(self, rows: np.ndarray) -> np.ndarray:
         if not len(rows):
@@ -875,27 +891,6 @@ def _dense_step(artifact: ModelArtifact):
     return lambda x, times: _forward(artifact, x).tolist()
 
 
-class _ConvStep:
-    """conv_multibranch: one _ConvEngine, started by row 0 (the same in every
-    branch at any period). The gap between the first two timestamps sets its
-    period, as parse_trace_csv's for a batch trace; bare rows keep the default."""
-
-    def __init__(self, artifact: ModelArtifact):
-        self.engine = _ConvEngine(artifact, DEFAULT_SAMPLE_PERIOD_S)
-
-    def __call__(self, x: np.ndarray, times) -> list[float]:
-        seen = self.engine.seen
-        if not seen:
-            self.t0 = None if times is None else times[0]
-        if seen < 2 <= seen + len(x) and times is not None and self.t0 is not None:
-            t = times[1 - seen]
-            period = float(t) - float(self.t0)
-            if period <= 0:
-                raise NonMonotonicTimeError(f"time does not increase at row 1 ({self.t0} -> {t})")
-            self.engine.set_period(period)
-        return self.engine.step_block(x).tolist()
-
-
 class _ChunkStep:
     """The recurrent families: the stream's rows buffered into chunks of
     sequence_length rows. A chunk's probability falls on the row that
@@ -955,7 +950,7 @@ _FAMILY_TABLE = {
         "row", _dense_step),
     "conv_multibranch": _Family(
         _conv_network, _conv_param_count, _conv_batches, lambda traces, L: traces,
-        "row", _ConvStep),
+        "row", _ConvEngine),
     "autoencoder": _Family(
         _autoencoder_network, _autoencoder_param_count,
         lambda artifact, rows, config: _row_batches(artifact, rows, None, config, "mse"),
@@ -1021,15 +1016,11 @@ def _artifact_to_header(artifact: ModelArtifact, arrays: list[np.ndarray]) -> di
         params[name] = {"shape": list(p.shape), "offset": offset}
         arrays.append(arr)
         offset += arr.nbytes
-    window = None
-    if artifact.window is not None:
-        window = {"raw_window": artifact.window.raw_window,
-                  "down_window": artifact.window.down_window}
     return {
         "family": artifact.family,
         "input_dim": artifact.input_dim,
         "hyper": artifact.hyper,
-        "window": window,
+        "window": None if artifact.window is None else asdict(artifact.window),
         "sequence_length": artifact.sequence_length,
         "norm": _norm_to_doc(artifact.norm),
         "seed": artifact.seed,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -270,10 +270,7 @@ class CorpusSpec:
         return int(round(self.duration_s / self.sample_period_s))
 
 
-_SPEC_KEYS = {
-    "benign_counts", "malware_counts", "num_features", "duration_s",
-    "sample_period_s", "onset_choices", "seed", "difficulty",
-}
+_SPEC_KEYS = {f.name for f in fields(CorpusSpec)}
 
 
 def _is_int(value) -> bool:
@@ -311,19 +308,6 @@ def corpus_spec_from_dict(doc: dict) -> CorpusSpec:
     spec = CorpusSpec(**kwargs)
     spec.validate()
     return spec
-
-
-def corpus_spec_to_dict(spec: CorpusSpec) -> dict:
-    return {
-        "benign_counts": dict(spec.benign_counts),
-        "malware_counts": dict(spec.malware_counts),
-        "num_features": spec.num_features,
-        "duration_s": spec.duration_s,
-        "sample_period_s": spec.sample_period_s,
-        "onset_choices": list(spec.onset_choices),
-        "seed": spec.seed,
-        "difficulty": spec.difficulty,
-    }
 
 
 # --- generation -----------------------------------------------------------
@@ -364,13 +348,15 @@ def _baseline_rows(profile: WorkloadProfile, spec: CorpusSpec,
     return rows
 
 
-def _default_meta(category: str, spec: CorpusSpec, seed: int,
-                  onset_s: float | None) -> TraceMeta:
-    tag = category.replace("-", "")
+def _meta(category: str, subject: str, pick: int, spec: CorpusSpec,
+          onset_s: float | None) -> TraceMeta:
+    """The meta of a generated trace: its subject name is the category
+    without hyphens followed by *subject*; *pick* chooses the OS and the
+    hardware id."""
     return TraceMeta(
-        subject_name=f"{tag}{seed % 1000:03d}",
-        os=OS_NAMES[seed % len(OS_NAMES)],
-        hardware_id=HW_IDS[seed % len(HW_IDS)],
+        subject_name=category.replace("-", "") + subject,
+        os=OS_NAMES[pick % len(OS_NAMES)],
+        hardware_id=HW_IDS[pick % len(HW_IDS)],
         category=category,
         onset_s=onset_s,
         sample_period_s=spec.sample_period_s,
@@ -384,7 +370,7 @@ def generate_benign_trace(profile: WorkloadProfile, spec: CorpusSpec, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     rows = _baseline_rows(profile, spec, rng)
     T = rows.shape[0]
-    meta = meta or _default_meta(profile.kind, spec, seed, None)
+    meta = meta or _meta(profile.kind, f"{seed % 1000:03d}", seed, spec, None)
     return Trace(
         meta=meta,
         header=feature_names(spec.num_features),
@@ -441,7 +427,7 @@ def generate_malicious_trace(
     _apply_effects(rows, onset_row, malware, workload.sigmas, spec)
     labels = np.zeros(T, dtype=np.int64)
     labels[onset_row:] = 1
-    meta = meta or _default_meta(malware.kind, spec, seed, onset_s)
+    meta = meta or _meta(malware.kind, f"{seed % 1000:03d}", seed, spec, onset_s)
     if meta.onset_s != onset_s:
         meta = replace(meta, onset_s=onset_s)
     return Trace(
@@ -469,15 +455,8 @@ def _corpus_traces(spec: CorpusSpec):
         profile = workload_profile(kind, spec.num_features)
         for j in range(spec.benign_counts[kind]):
             seed = _file_seed(spec, index)
-            meta = TraceMeta(
-                subject_name=f"{kind.replace('-', '')}{j:02d}",
-                os=OS_NAMES[index % len(OS_NAMES)],
-                hardware_id=HW_IDS[index % len(HW_IDS)],
-                category=kind,
-                onset_s=None,
-                sample_period_s=spec.sample_period_s,
-            )
-            yield generate_benign_trace(profile, spec, seed, meta=meta)
+            yield generate_benign_trace(profile, spec, seed,
+                                        meta=_meta(kind, f"{j:02d}", index, spec, None))
             index += 1
 
     workload_cycle = sorted(spec.benign_counts) or ["office"]
@@ -491,16 +470,8 @@ def _corpus_traces(spec: CorpusSpec):
             onset = abs(float(spec.onset_choices[(j + cat_index) % len(spec.onset_choices)]))
             workload = workload_profile(workload_cycle[index % len(workload_cycle)],
                                         spec.num_features)
-            meta = TraceMeta(
-                subject_name=f"{kind.replace('-', '')}{j:02d}",
-                os=OS_NAMES[index % len(OS_NAMES)],
-                hardware_id=HW_IDS[index % len(HW_IDS)],
-                category=kind,
-                onset_s=onset,
-                sample_period_s=spec.sample_period_s,
-            )
-            yield generate_malicious_trace(workload, malware, spec, seed,
-                                           onset_s=onset, meta=meta)
+            yield generate_malicious_trace(workload, malware, spec, seed, onset_s=onset,
+                                           meta=_meta(kind, f"{j:02d}", index, spec, onset))
             index += 1
 
 

@@ -17,12 +17,14 @@ column holding 0/1. One reader (TraceReader) reads files and live streams
 alike, by one line rule: a record is one line, split into cells by ``csv``
 within that line (a quoted cell cannot span lines); a line that is empty
 or holds only whitespace is skipped wherever it stands, before the header
-too; the first record is the header. Feature and label cells that do not
-parse as numbers are imputed from the previous row (0 for the first row)
-so the row count — which the consecutive-sample detector depends on — is
-never silently changed. A ragged or non-UTF-8 row, or a time that is not a
-finite number later than the row above, is an error (_decode_rows, for
-files and streams).
+too; the first record is the header. The reader is one object per
+source: it holds the header's columns, the count of rows read and the row
+above the next one, and decodes each block of rows by one rule
+(_decode_rows). Feature and label cells that do not parse as numbers are
+imputed from the previous row (0 for the first row) so the row count —
+which the consecutive-sample detector depends on — is never silently
+changed. A ragged or non-UTF-8 row, or a time that is not a finite number
+later than the row above, is an error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,7 @@ from .errors import (
     MissingColumnError,
     NonMonotonicTimeError,
     RaggedRowError,
+    SidewatchError,
     UndecodableRowError,
     UnknownCategoryError,
 )
@@ -367,54 +370,16 @@ def parse_trace_csv(
     with open(path, "rb") as fh:
         reader = TraceReader(fh, str(path), schema or TraceSchema(), meta.sample_period_s)
         blocks = [block[1:] for block in reader.blocks()]
-    if reader.parser is None:
+    if reader.cols is None:
         raise EmptyTraceError(f"{path}: file has no header")
     if not blocks:
         raise EmptyTraceError(f"{path}: header only, no data rows")
 
     times, features, labels = (np.concatenate(arrays) for arrays in zip(*blocks))
-    if reader.parser.cols.time_idx is not None and len(times) >= 2:
+    if reader.cols.time_idx is not None and len(times) >= 2:
         meta = replace(meta, sample_period_s=float(times[1] - times[0]))
-    return Trace(meta=meta, header=reader.parser.cols.feature_names, times=times,
+    return Trace(meta=meta, header=reader.cols.feature_names, times=times,
                  features=features, labels=labels)
-
-
-class RowParser:
-    """Parse a trace CSV's data rows as they arrive, by parse_trace_csv's rules.
-
-    Each call decodes its rows by _decode_rows, with the last row of the
-    calls before standing above its first, so rows decode the same however
-    a file or stream is cut into calls. Decode lines with
-    ``errors="surrogateescape"``, so that one that is not UTF-8 is a bad
-    row. Without a time column row i is at ``i * period``.
-    """
-
-    def __init__(self, header: list[str], where: str = "stream",
-                 schema: TraceSchema | None = None, period: float = DEFAULT_SAMPLE_PERIOD_S):
-        self.cols = _columns([h.strip() for h in header], schema or TraceSchema(), where)
-        self.where = where
-        self.period = period
-        self.rows = 0
-        self._prev_t = -math.inf
-        self._prev_features = np.zeros(len(self.cols.feature_idx))
-        self._prev_label = 0
-
-    def parse_rows(self, rows: list[list[str]]):
-        """(times [n], features [n, F], labels [n], error): the next rows up
-        to the first bad one, and its error (None if all are good). A bad row
-        ends the stream: the rows after it are not parsed."""
-        times, features, labels, error = _decode_rows(
-            self.cols, rows, self.where, self.rows, self._prev_t, self._prev_features,
-            self._prev_label)
-        n = len(features)
-        if times is None:
-            times = np.arange(self.rows, self.rows + n) * self.period
-        if n:
-            self.rows += n
-            self._prev_t = float(times[-1])
-            self._prev_features = features[-1]
-            self._prev_label = int(labels[-1])
-        return times, features, labels, error
 
 
 # The most rows TraceReader gives as one block: it bounds the memory and
@@ -454,23 +419,28 @@ class TraceReader:
     """The one reader of trace CSV files and streams, over a binary file
     object *fh*, by the line rule of the module docstring: parse_trace_csv
     runs it to the end of a file, ``sidewatch detect`` over a live file or
-    stdin. *parser*, the header's RowParser (with *schema*, and *period* for
-    a file without a time column), is None until the header is read.
+    stdin. It holds the header's columns (*cols*, by *schema*; None until
+    the header is read), the count of data rows read (*rows*) and the last
+    of them, which stands above the next block's first row, so rows decode
+    the same however the source is cut into blocks. Without a time column
+    row i is at ``i * period``.
     """
 
-    def __init__(self, fh, where: str, schema: TraceSchema, period: float):
+    def __init__(self, fh, where: str = "stream", schema: TraceSchema = TraceSchema(),
+                 period: float = DEFAULT_SAMPLE_PERIOD_S):
         self.fh = fh
         self.where = where
         self.schema = schema
         self.period = period
-        self.parser: RowParser | None = None
+        self.cols: _Columns | None = None
+        self.rows = 0
 
     def blocks(self, wait: bool = False, drain: bool = True, poll_s: float = 0.2):
         """Yield (index, times, features, labels) blocks of at most
         BLOCK_ROWS rows: index is the block's first row, times [n],
         features [n, F] and labels [n] its rows' (_line_blocks for *wait*,
-        *drain* and what a block holds). A bad row ends the source: the
-        rows before it are yielded, then its error raised.
+        *drain* and what a block holds). A bad row (_decode_rows) ends the
+        source: the rows before it are yielded, then its error raised.
         """
         for lines in _line_blocks(self.fh, wait, drain, poll_s):
             rows = []
@@ -479,15 +449,21 @@ class TraceReader:
                 if not text.strip():
                     continue
                 cells = next(csv.reader([text]))
-                if self.parser is None:
-                    self.parser = RowParser(cells, self.where, self.schema, self.period)
+                if self.cols is None:
+                    self.cols = _columns([h.strip() for h in cells], self.schema, self.where)
+                    self._above = (-math.inf, np.zeros(len(self.cols.feature_idx)), 0)
                 else:
                     rows.append(cells)
             if not rows:
                 continue
-            first = self.parser.rows
-            times, features, labels, error = self.parser.parse_rows(rows)
+            first = self.rows
+            times, features, labels, error = _decode_rows(
+                self.cols, rows, self.where, first, *self._above)
+            if times is None:
+                times = np.arange(first, first + len(features)) * self.period
             if len(times):
+                self.rows += len(times)
+                self._above = (float(times[-1]), features[-1], int(labels[-1]))
                 yield first, times, features, labels
             if error is not None:
                 raise error
@@ -607,26 +583,9 @@ class Manifest:
         return [e for e in self.entries if e.split == split]
 
 
-def _meta_to_dict(meta: TraceMeta) -> dict:
-    return {
-        "subject_name": meta.subject_name,
-        "os": meta.os,
-        "hardware_id": meta.hardware_id,
-        "category": meta.category,
-        "onset_s": meta.onset_s,
-        "sample_period_s": meta.sample_period_s,
-    }
-
-
 def _meta_from_dict(d: dict) -> TraceMeta:
-    return TraceMeta(
-        subject_name=d["subject_name"],
-        os=d["os"],
-        hardware_id=d["hardware_id"],
-        category=d["category"],
-        onset_s=d["onset_s"],
-        sample_period_s=d["sample_period_s"],
-    )
+    """The TraceMeta a manifest entry stores; a missing field is a KeyError."""
+    return TraceMeta(**{f.name: d[f.name] for f in fields(TraceMeta)})
 
 
 # The faults that make a trace file unreadable as a trace.
@@ -675,15 +634,7 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     doc = {
         "format": "sidewatch-manifest",
         "version": MANIFEST_VERSION,
-        "entries": [
-            {
-                "path": e.path,
-                "meta": _meta_to_dict(e.meta),
-                "row_count": e.row_count,
-                "split": e.split,
-            }
-            for e in manifest.entries
-        ],
+        "entries": [asdict(e) for e in manifest.entries],
         "skipped": [{"path": p, "reason": r} for p, r in manifest.skipped],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -691,21 +642,37 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
         fh.write("\n")
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file *path*. A file that is not UTF-8 JSON,
+    or holds another kind of value, is a SidewatchError that names the
+    path and *what* the file should be."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
+        raise SidewatchError(f"{path}: not a {what} ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SidewatchError(f"{path}: not a {what} (not a JSON object)")
+    return doc
+
+
 def load_manifest(path: str | Path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path, "sidewatch manifest")
     if doc.get("format") != "sidewatch-manifest" or doc.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"{path}: not a version-{MANIFEST_VERSION} sidewatch manifest")
-    entries = [
-        ManifestEntry(
-            path=e["path"],
-            meta=_meta_from_dict(e["meta"]),
-            row_count=e["row_count"],
-            split=e["split"],
-        )
-        for e in doc["entries"]
-    ]
-    skipped = [(s["path"], s["reason"]) for s in doc.get("skipped", [])]
+        raise SidewatchError(f"{path}: not a version-{MANIFEST_VERSION} sidewatch manifest")
+    try:
+        entries = [
+            ManifestEntry(
+                path=e["path"],
+                meta=_meta_from_dict(e["meta"]),
+                row_count=e["row_count"],
+                split=e["split"],
+            )
+            for e in doc["entries"]
+        ]
+        skipped = [(s["path"], s["reason"]) for s in doc.get("skipped", [])]
+    except (KeyError, TypeError) as exc:  # a missing field, or an entry that is not an object
+        raise SidewatchError(f"{path}: bad manifest entry ({type(exc).__name__}: {exc})") from None
     return Manifest(entries, skipped)
 
 

@@ -40,13 +40,25 @@ def micro_traces(micro_corpus):
     return train, test
 
 
-def parse_row(parser: telemetry.RowParser, cells: list[str]) -> telemetry.SampleRow:
-    """The parser's next data row, by parse_rows of that one row; a bad row
-    raises its error."""
-    times, features, labels, error = parser.parse_rows([cells])
-    if error is not None:
-        raise error
-    return telemetry.SampleRow(t=float(times[0]), features=features[0], label=int(labels[0]))
+class ChunkSource:
+    """A binary source held in memory: each read1 gives the next of
+    *chunks* (each shorter than a read asks for), then b"" at the end."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def read1(self, size: int = -1) -> bytes:
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def read_rows(chunks, **reader_args):
+    """(index, SampleRow) per data row that a TraceReader (*reader_args*)
+    reads from the binary *chunks*, one read1 each (drain=False). A bad
+    row raises its error after the rows before it."""
+    reader = telemetry.TraceReader(ChunkSource(chunks), **reader_args)
+    for first, times, features, labels in reader.blocks(drain=False):
+        for i, t in enumerate(times.tolist()):
+            yield first + i, telemetry.SampleRow(t=t, features=features[i], label=int(labels[i]))
 
 
 def random_trace(rng: np.random.Generator, T: int = 12, F: int = 3,

@@ -16,8 +16,7 @@ DATA = Path(__file__).parent / "data"
 
 def _reader(source) -> telemetry.TraceReader:
     """The reader `sidewatch detect` runs over the open binary *source*."""
-    return telemetry.TraceReader(source, source.name, telemetry.TraceSchema(),
-                                 telemetry.DEFAULT_SAMPLE_PERIOD_S)
+    return telemetry.TraceReader(source, source.name)
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +391,63 @@ class TestTrainEval:
         assert rc == EXIT_OK
         effective = json.loads((out / "effective_config.json").read_text())
         assert effective["hidden"] == [8, 4] and effective["lr"] == 0.002
+
+    @pytest.mark.parametrize("spelling", ["--config", "--config=", "--conf"])
+    def test_config_file_gives_a_required_flag(self, cli_corpus, tmp_path, spelling):
+        # README's annotated train example puts "family" in the file.
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"family": "mlp", "epochs": 2}))
+        out = tmp_path / "run"
+        named = [f"--config={cfg}"] if spelling.endswith("=") else [spelling, str(cfg)]
+        rc = cli.main(["train", *named, "--corpus", str(corpus), "--out", str(out)])
+        assert rc == EXIT_OK
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["family"] == "mlp" and effective["epochs"] == 2
+
+    def test_line_beats_a_required_flag_from_the_file(self, cli_corpus, tmp_path):
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"family": "rnn_gru", "corpus": str(tmp_path / "none"),
+                                   "epochs": 1, "hidden": "4"}))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(cfg), "--family", "mlp",
+                       "--corpus", str(corpus), "--out", str(out)])
+        assert rc == EXIT_OK
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["family"] == "mlp" and effective["corpus"] == str(corpus)
+
+    def test_eval_models_from_the_file(self, cli_corpus, tmp_path):
+        root, corpus, model_path = cli_corpus
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"model": [str(model_path)]}))
+        outs = tmp_path / "file", tmp_path / "line"
+        assert cli.main(["eval", "--config", str(cfg), "--corpus", str(corpus),
+                         "--out", str(outs[0])]) == EXIT_OK
+        assert cli.main(["eval", "--model", str(model_path), "--corpus", str(corpus),
+                         "--out", str(outs[1])]) == EXIT_OK
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+    def test_ambiguous_config_prefix_is_usage_error(self, cli_corpus, tmp_path, capsys):
+        # "--co" could be --corpus or --config: argparse refuses it, before
+        # any file is read.
+        root, corpus, _ = cli_corpus
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"family": "mlp"}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--co", str(cfg), "--family", "mlp", "--out", str(tmp_path / "r")])
+        assert exc.value.code == EXIT_USAGE
+        assert "ambiguous option: --co" in capsys.readouterr().err
+
+    def test_required_flag_the_file_lacks_is_still_required(self, cli_corpus, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"family": "mlp"}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --corpus" in err
+        assert " --corpus CORPUS" in err and "[--corpus" not in err  # the full parse's usage
 
     def test_train_loads_the_encoder_once(self, cli_corpus, tmp_path, monkeypatch):
         root, corpus, _ = cli_corpus
@@ -809,7 +865,69 @@ class TestInspect:
         assert "not a valid artifact file" in capsys.readouterr().err
 
 
+class TestMalformedJson:
+    """Every JSON file the CLI reads: one that is not UTF-8 JSON, or not an
+    object, is a data error naming the file."""
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[1, 2]"],
+                             ids=["not-json", "not-utf8", "list"])
+    @pytest.mark.parametrize("kind", ["manifest", "spec", "config", "checkpoint"])
+    def test_is_data_error_naming_the_file(self, cli_corpus, tmp_path, capsys, kind, content):
+        root, corpus, model_path = cli_corpus
+        bad_corpus = tmp_path / "corpus"
+        bad_corpus.mkdir()
+        path = bad_corpus / "manifest.json" if kind == "manifest" else tmp_path / f"{kind}.json"
+        path.write_bytes(content)
+        argv = {
+            "manifest": ["validate", "--corpus", str(bad_corpus)],
+            "spec": ["generate", "--spec", str(path), "--out", str(tmp_path / "out")],
+            "config": ["validate", "--config", str(path), "--corpus", str(bad_corpus)],
+            "checkpoint": ["detect", "--model", str(model_path), "--checkpoint", str(path),
+                           "--source", str(tmp_path / "unread.csv")],
+        }[kind]
+        assert cli.main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("defect", ["format", "version", "no os", "entry not an object"])
+    @pytest.mark.parametrize("command", ["validate", "split", "train"])
+    def test_bad_manifest_is_data_error(self, cli_corpus, tmp_path, capsys, defect, command):
+        root, corpus, _ = cli_corpus
+        doc = json.loads((corpus / "manifest.json").read_text())
+        if defect == "format":
+            doc = {"format": "nope"}
+        elif defect == "version":
+            doc["version"] = 2
+        elif defect == "no os":
+            del doc["entries"][0]["meta"]["os"]
+        else:
+            doc["entries"][0] = doc["entries"][0]["path"]
+        bad_corpus = tmp_path / "corpus"
+        bad_corpus.mkdir()
+        (bad_corpus / "manifest.json").write_text(json.dumps(doc))
+        argv = [command, "--corpus", str(bad_corpus)]
+        if command == "train":
+            argv += ["--family", "mlp", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad_corpus / "manifest.json") in err and err.count("\n") == 1
+
+
 class TestHelp:
+    @pytest.mark.parametrize("command", [
+        None, "generate", "validate", "split", "train", "eval", "sweep", "detect", "inspect"])
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        # The texts under tests/data/help were rendered at 80 columns.
+        monkeypatch.setenv("COLUMNS", "80")
+        want = (DATA / "help" / f"{command or 'sidewatch'}.txt").read_text(encoding="utf-8")
+        parser = cli.build_parser()
+        assert (cli._subparsers(parser)[command] if command else parser).format_help() == want
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("command", [
         "generate", "validate", "split", "train", "eval", "sweep", "detect",
         "inspect"])

@@ -3,7 +3,6 @@ a per-row loop, bounded memory, a checkpoint that counts only the rows
 whose step completed, and the verdict `eval` reports for the same file."""
 
 import contextlib
-import csv
 import io
 import json
 import tempfile
@@ -22,7 +21,7 @@ from sidewatch.detector import DetectorConfig, StreamState, stream_step
 from sidewatch.errors import RaggedRowError, SidewatchError
 from sidewatch.models import WindowConfig
 
-from conftest import parse_row
+from conftest import read_rows
 
 F = 3
 HEADER = "time_s,f0,f1,f2,label"
@@ -32,19 +31,9 @@ HEADER = "time_s,f0,f1,f2,label"
 
 
 def _reference_rows(source):
-    """(index, SampleRow) per data row, one line at a time."""
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        parser = None
-        index = 0
-        for line in fh:
-            if not line.strip():
-                continue
-            cells = next(csv.reader([line]))
-            if parser is None:
-                parser = telemetry.RowParser(cells, where=str(source))
-                continue
-            yield index, parse_row(parser, cells)
-            index += 1
+    """(index, SampleRow) per data row, read one line at a time."""
+    lines = Path(source).read_bytes().splitlines(keepends=True)
+    yield from read_rows(lines, where=str(source))
 
 
 def reference_detect(model, source, cfg: DetectorConfig, checkpoint=None):

@@ -249,3 +249,28 @@ class TestChunking:
         trace2 = random_trace(rng, T=8, F=1, category="virus", onset_row=5)
         batch2 = chunk_sequences([trace2], 8)  # 5 benign vs 3 malicious
         assert batch2.labels[0] == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(0, 50), max_size=4),
+           L=st.integers(1, 25), F=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_chunk_slices_and_majority_vote(self, seed, lengths, L, F):
+        """Each chunk is its rows' slice, labeled by the majority of their
+        labels (ties malicious), bit for bit, float64 and int64 even when
+        no trace reaches L."""
+        rng = np.random.default_rng(seed)
+        traces = []
+        for T in lengths:
+            trace = random_trace(rng, T=T, F=F)
+            trace.labels = rng.integers(0, 2, size=T)
+            traces.append(trace)
+        batch = chunk_sequences(traces, L)
+        chunks = [(t.features[lo:lo + L], t.labels[lo:lo + L])
+                  for t in traces for lo in range(0, t.num_rows - L + 1, L)]
+        want = (np.stack([rows for rows, _ in chunks]) if chunks
+                else np.zeros((0, L, F if traces else 0)))
+        votes = np.array([1 if 2 * int(labels.sum()) >= L else 0 for _, labels in chunks],
+                         dtype=np.int64)
+        assert batch.sequences.dtype == np.float64 and batch.labels.dtype == np.int64
+        assert batch.sequences.shape == want.shape and batch.labels.shape == votes.shape
+        assert batch.sequences.tobytes() == want.tobytes()
+        assert batch.labels.tobytes() == votes.tobytes()

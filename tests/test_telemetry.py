@@ -34,7 +34,7 @@ from sidewatch.telemetry import (
     write_trace_csv,
 )
 
-from conftest import parse_row, random_trace
+from conftest import ChunkSource, random_trace, read_rows
 
 
 class TestFilenames:
@@ -269,8 +269,9 @@ ROW_HEADER = "time_s,a,b,label"
 
 @st.composite
 def row_parser_cases(draw):
-    """A trace file's data lines, with at most one bad row, and where to
-    cut its rows into parse_rows calls."""
+    """A trace file's data lines, with at most one bad row, its line end,
+    and the byte offsets at which to cut the file into reads: anywhere,
+    at a line start, or between a line's \\r and \\n."""
     n = draw(st.integers(2, 30))
     period = draw(st.sampled_from([0.25, 0.5, 1.0, 0.1]))
     t0 = draw(st.sampled_from([0.0, 3.5, -2.0]))
@@ -297,12 +298,23 @@ def row_parser_cases(draw):
     elif defect == "not utf-8":
         j = draw(st.integers(0, 3))
         lines[at][j] += "\udcff"  # written as the byte 0xff
-    cuts = set(draw(st.lists(st.integers(1, n - 1), max_size=6)))
-    if defect is not None and at and draw(st.booleans()):
-        cuts.add(at)  # the bad row opens a call
-    return dict(lines=[",".join(cells) for cells in lines], cuts=sorted(cuts),
-                end=draw(st.sampled_from(["\n", "\r\n"])),
+    lines = [",".join(cells) for cells in lines]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    # starts[i] is the offset of data row i; starts[n] is the end of the file.
+    starts = np.cumsum([len(_trace_bytes([line], end)) for line in [ROW_HEADER, *lines]]).tolist()
+    places = [st.integers(1, starts[-1] - 1), st.sampled_from(starts[:-1])]
+    if end == "\r\n":
+        places.append(st.sampled_from([s - 1 for s in starts]))
+    cuts = set(draw(st.lists(st.one_of(places), max_size=8)))
+    if defect is not None and draw(st.booleans()):
+        cuts.add(starts[at])  # the bad row opens a read
+    return dict(lines=lines, cuts=sorted(cuts), end=end,
                 bad_row=None if defect is None else at)
+
+
+def _trace_bytes(lines: list[str], end: str) -> bytes:
+    """The bytes of a trace file: *lines*, each ended by *end*."""
+    return "".join(line + end for line in lines).encode("utf-8", "surrogateescape")
 
 
 class TestBulkParseEquivalence:
@@ -389,24 +401,25 @@ class TestBulkParseEquivalence:
 
 
 class TestRowParser:
+    """A TraceReader's row state: its rows decode the same read in one
+    block, a line at a time, or cut into reads anywhere."""
+
     def test_rows_equal_file_parse(self, tmp_path):
         text = ("time_s,a,b,label\r\n0.0,Yes,2,0\r\n0.5,,nan,1\r\n"
                 '1.0,"5",inf,\r\n1.5, 1.5 ,1_0,Yes\r\n')
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
         trace = parse_trace_csv(path)
-        reader = csv.reader(io.StringIO(text, newline=""))
-        parser = telemetry.RowParser(next(reader))
-        rows = [parse_row(parser, cells) for cells in reader]
+        rows = [row for _, row in read_rows(text.encode().splitlines(keepends=True))]
         assert [r.t for r in rows] == trace.times.tolist()
         assert _same_bits(np.stack([r.features for r in rows]), trace.features)
         assert [r.label for r in rows] == trace.labels.tolist()
 
     def test_without_time_column_uses_default_period(self):
-        parser = telemetry.RowParser(["a", "label"])
-        assert [parse_row(parser, ["1", "0"]).t for _ in range(3)] == [0.0, 0.5, 1.0]
+        rows = read_rows([b"a,label\n", *[b"1,0\n"] * 3])
+        assert [row.t for _, row in rows] == [0.0, 0.5, 1.0]
 
-    # Each case is the rows of one stream, parsed one call each; the last is bad.
+    # Each case is the rows of one stream, read a line at a time; the last is bad.
     @pytest.mark.parametrize("cells, error", [
         ([["nan", "1", "0"]], NonMonotonicTimeError),
         ([["x", "1", "0"]], NonMonotonicTimeError),
@@ -416,52 +429,52 @@ class TestRowParser:
         ([["0.0", "1\udcff", "0"]], UndecodableRowError),
     ])
     def test_bad_rows_rejected(self, cells, error):
-        parser = telemetry.RowParser(["time_s", "a", "label"])
-        for good in cells[:-1]:
-            parse_row(parser, good)
+        lines = [_trace_bytes([",".join(row)], "\n") for row in [["time_s", "a", "label"], *cells]]
+        read = []
         with pytest.raises(error, match=f"row {len(cells) - 1} "):
-            parse_row(parser, cells[-1])
-        assert parser.rows == len(cells) - 1
+            for row in read_rows(lines):
+                read.append(row)
+        assert len(read) == len(cells) - 1
 
     @given(case=row_parser_cases())
     @settings(max_examples=150, deadline=None)
-    @example(case=dict(lines=["0.0,1,2,0", "0.5,3,4,0", "0.5,5,6,1"], cuts=[2], end="\n",
+    @example(case=dict(lines=["0.0,1,2,0", "0.5,3,4,0", "0.5,5,6,1"], cuts=[37], end="\n",
                        bad_row=2))
+    @example(case=dict(lines=["0.0,1,2,0", "0.5,3,4,0", "0.5,5,6,1"], cuts=[5, 17, 33],
+                       end="\r\n", bad_row=2))
     def test_calls_equal_file_parse(self, tmp_path_factory, case):
-        """However a file's rows are cut into parse_rows calls, they decode
-        as parse_trace_csv decodes the file, up to the same first bad row
-        with the same error."""
+        """However a file's bytes are cut into reads (one read1 each, with
+        drain=False), a TraceReader reads the rows parse_trace_csv reads from
+        the file, up to the same first bad row with the same error."""
         path = tmp_path_factory.mktemp("cuts") / "t.csv"
-        end = case["end"]
-        path.write_bytes(end.join([ROW_HEADER, *case["lines"], ""])
-                         .encode("utf-8", "surrogateescape"))
+        end, cuts = case["end"], case["cuts"]
+        data = _trace_bytes([ROW_HEADER, *case["lines"]], end)
+        path.write_bytes(data)
         try:
             want, want_error = parse_trace_csv(path), None
         except SidewatchError as exc:
             want, want_error = None, exc
 
-        text = path.read_bytes().decode("utf-8", "surrogateescape")
-        header, *rows = csv.reader(io.StringIO(text, newline=""))
-        parser = telemetry.RowParser(header, where=str(path))
+        chunks = [data[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(data)])]
+        reader = telemetry.TraceReader(ChunkSource(chunks), where=str(path))
         parts, error = [], None
-        for lo, hi in zip([0, *case["cuts"]], [*case["cuts"], len(rows)]):
-            *part, error = parser.parse_rows(rows[lo:hi])
-            parts.append(part)
-            if error is not None:
-                break
-        times, features, labels = (np.concatenate(arrays) for arrays in zip(*parts))
+        try:
+            for _, *part in reader.blocks(drain=False):
+                parts.append(part)
+        except SidewatchError as exc:
+            error = exc
 
         if case["bad_row"] is None:
             assert want_error is None and error is None
         else:
             assert (type(error), str(error)) == (type(want_error), str(want_error))
-            assert len(times) == case["bad_row"]
-            if not len(times):
+            assert reader.rows == case["bad_row"]
+            if not reader.rows:
                 return
             # The rows before the bad one decode as the file cut there does.
-            path.write_bytes(end.join([ROW_HEADER, *case["lines"][:len(times)], ""])
-                             .encode("utf-8", "surrogateescape"))
+            path.write_bytes(_trace_bytes([ROW_HEADER, *case["lines"][:reader.rows]], end))
             want = parse_trace_csv(path)
+        times, features, labels = (np.concatenate(arrays) for arrays in zip(*parts))
         assert _same_bits(times, want.times)
         assert _same_bits(features, want.features)
         assert _same_bits(labels, want.labels)
